@@ -19,16 +19,22 @@ from . import catalan, multisets, paths, render, serialize, trees, verify
 from .arith import format_rational
 from .errors import DEFAULT_MAX_ENUMERATION, ResourceCapError
 
-STRUCTURES = (
-    "paths",
-    "minimal-paths",
-    "ornaments",
-    "trees",
-    "minimal-trees",
-    "cycle-trees",
-    "multisets",
-    "rooted-multisets",
-)
+# enumerable structures: name -> (k, n, max_count) -> list
+_ENUMERATORS = {
+    "paths": lambda k, n, cap: paths.enumerate_paths(k, range(1, n + 1), cap),
+    "minimal-paths": paths.enumerate_minimal_paths,
+    "ornaments": paths.enumerate_ornaments,
+    "trees": lambda k, n, cap: trees.enumerate_trees(k, range(1, n + 1), cap),
+    "minimal-trees": lambda k, n, cap: [
+        t
+        for t in trees.enumerate_trees(k, range(1, n + 1), cap)
+        if trees.is_root_minimal(t)
+    ],
+    "cycle-trees": trees.enumerate_cycle_rooted,
+    "multisets": lambda k, n, cap: multisets.enumerate_multisets(k, n, False, cap),
+    "rooted-multisets": lambda k, n, cap: multisets.enumerate_multisets(k, n, True, cap),
+}
+STRUCTURES = tuple(_ENUMERATORS)
 
 # one-step conversions; map routes along the shortest chain of these
 _CONVERSIONS = {
@@ -103,34 +109,9 @@ def cmd_coeff(args) -> int:
     return 0
 
 
-def _enumerate_structures(structure: str, k: int, n: int, max_count):
-    label_range = range(1, n + 1)
-    if structure == "paths":
-        return paths.enumerate_paths(k, label_range, max_count)
-    if structure == "minimal-paths":
-        return paths.enumerate_minimal_paths(k, n, max_count)
-    if structure == "ornaments":
-        return paths.enumerate_ornaments(k, n, max_count)
-    if structure == "trees":
-        return trees.enumerate_trees(k, label_range, max_count)
-    if structure == "minimal-trees":
-        return [
-            t
-            for t in trees.enumerate_trees(k, label_range, max_count)
-            if trees.is_root_minimal(t)
-        ]
-    if structure == "cycle-trees":
-        return trees.enumerate_cycle_rooted(k, n, max_count)
-    if structure == "multisets":
-        return multisets.enumerate_multisets(k, n, False, max_count)
-    if structure == "rooted-multisets":
-        return multisets.enumerate_multisets(k, n, True, max_count)
-    raise ValueError(f"unknown structure {structure!r}")
-
-
 def cmd_enumerate(args) -> int:
     max_count = None if args.force else DEFAULT_MAX_ENUMERATION
-    items = _enumerate_structures(args.structure, args.k, args.n, max_count)
+    items = _ENUMERATORS[args.structure](args.k, args.n, max_count)
     lines = [serialize.dumps(x) for x in items]
     summary = {
         "kind": "summary",

@@ -23,7 +23,7 @@ from functools import cached_property
 from . import catalan
 from .errors import DEFAULT_MAX_ENUMERATION, check_cap
 from .paths import GoodPath, Ornament
-from .trees import CycleRootedTree, canonical_cycle
+from .trees import CycleRootedTree, _check_cycle, canonical_cycle, slot_walk
 
 Node = tuple[int, int]
 Segment = tuple[Node, ...]
@@ -38,14 +38,10 @@ class CyclicMultiset:
     def __post_init__(self):
         if self.k < 2:
             raise ValueError("multisets need k >= 2")
-        object.__setattr__(self, "cycle", tuple(self.cycle))
+        object.__setattr__(self, "cycle", _check_cycle(self.cycle))
         items = self.f.items() if isinstance(self.f, dict) else self.f
         rows = sorted((int(v), tuple(int(x) for x in vec)) for v, vec in items)
         object.__setattr__(self, "f", tuple(rows))
-        if not self.cycle or len(set(self.cycle)) != len(self.cycle):
-            raise ValueError("the cycle must be a nonempty list of distinct labels")
-        if self.cycle[0] != min(self.cycle):
-            raise ValueError("the cycle must be stored starting at its minimal label")
         if {v for v, _ in self.f} != set(self.cycle):
             raise ValueError("multiplicities must cover exactly the cycle labels")
         for v, vec in self.f:
@@ -204,53 +200,41 @@ def multiset_to_ornament(m: CyclicMultiset) -> Ornament:
 # -- encoding of cycle-rooted trees ---------------------------------------------
 
 
-def _exploration_order(c: CycleRootedTree, start: int) -> list[int]:
-    """Vertices of c in depth-first order: each root in clockwise cycle
-    order starting at `start`, each followed by its subtree, children
-    explored leftmost slot first."""
-    order: list[int] = []
-
-    def walk(v: int):
-        order.append(v)
-        for child in c.slot_map[v]:
-            if child is not None:
-                walk(child)
-
-    i = c.cycle.index(start)
-    for r in c.cycle[i:] + c.cycle[:i]:
-        walk(r)
-    return order
-
-
 def cycle_tree_to_multiset(
     c: CycleRootedTree, start_root: int | None = None
 ) -> CyclicMultiset:
     """Encode a cycle-rooted tree as a cyclically ordered multiset.
 
-    The cycle is the depth-first exploration order (start-independent as
-    a cyclic order). Each vertex reports the lengths of the maximal
-    slot-chains that start at it, skipping the slot it occupies at its
-    own parent since that chain is reported further up; roots report
-    their first k-1 slots and add one for the leftmost. Chain lengths
-    count the vertices strictly below the reporting one, which is what
-    makes the multiplicities sum to n.
+    The cycle is the depth-first exploration order: each root in clockwise
+    cycle order from `start_root`, each followed by its subtree, children
+    explored leftmost slot first (start-independent as a cyclic order).
+    Each vertex reports the lengths of the maximal slot-chains that start
+    at it, skipping the slot it occupies at its own parent since that
+    chain is reported further up; roots report their first k-1 slots and
+    add one for the leftmost. Chain lengths count the vertices strictly
+    below the reporting one, which is what makes the multiplicities sum
+    to n.
     """
     if start_root is None:
         start_root = c.cycle[0]
     if start_root not in c.cycle:
         raise ValueError("exploration must start at a cycle vertex")
-    order = _exploration_order(c, start_root)
+    order: list[int] = []
+    parent_slot = {}
+    i = c.cycle.index(start_root)
+    for r in c.cycle[i:] + c.cycle[:i]:
+        order.append(r)
+        for _, q, v in slot_walk(c.slot_map, r):
+            if v is not None:
+                order.append(v)
+                parent_slot[v] = q
 
     def chain(v: int, q: int) -> int:
-        child = c.slot_map[v][q]
-        return 0 if child is None else 1 + chain(child, q)
+        length = 0
+        while (v := c.slot_map[v][q]) is not None:
+            length += 1
+        return length
 
-    parent_slot = {
-        child: q
-        for v, row in c.slots
-        for q, child in enumerate(row)
-        if child is not None
-    }
     roots = set(c.cycle)
     f = {}
     for v in order:

@@ -189,33 +189,34 @@ def enumerate_minimal_paths(
     ]
 
 
-def _split_at(p: GoodPath, height: int) -> tuple[GoodPath, GoodPath]:
-    """Cut at a diagonal touch; the back piece is translated to the origin."""
+def _cut(p: GoodPath, height: int) -> tuple[int, int]:
+    """Where a diagonal touch at `height` cuts p: the number of steps and
+    the number of labels in front of it."""
     j = height // (p.k - 1)
-    cut = j + height  # j right steps and `height` up steps precede the touch
-    front = GoodPath(p.k, p.steps[:cut], p.labels[:j])
-    back = GoodPath(p.k, p.steps[cut:], p.labels[j:])
-    return front, back
+    return j + height, j
 
 
 def decompose(p: GoodPath) -> MinimalField:
     """Split a path into its field of label-minimal pieces.
 
-    Repeatedly cut the remaining piece at its lowest diagonal touch whose
-    label is smaller than the label at the piece's origin. Each piece cut
-    off in front is label-minimal, the origin labels of the pieces come
-    out strictly decreasing, and their label sets partition the input's.
+    Cut at every diagonal touch whose label undercuts all touch labels
+    below it (the left-to-right minima, read bottom up). Each piece is
+    label-minimal, the origin labels of the pieces come out strictly
+    decreasing, and their label sets partition the input's.
     """
-    parts = []
-    cur = p
-    while True:
-        first = cur.labels[0]
-        lower = [h for h, lab in diagonal_touches(cur) if lab < first]
-        if not lower:
-            parts.append(cur)
-            return MinimalField(frozenset(parts))
-        front, cur = _split_at(cur, min(lower))
-        parts.append(front)
+    cuts = []
+    low = None
+    for height, lab in diagonal_touches(p):
+        if low is None or lab < low:
+            cuts.append(_cut(p, height))
+            low = lab
+    if len(cuts) == 1:  # no touch undercuts the origin: p is label-minimal
+        return MinimalField(frozenset({p}))
+    cuts.append((len(p.steps), p.n))
+    return MinimalField(frozenset(
+        GoodPath(p.k, p.steps[s:t], p.labels[i:j])
+        for (s, i), (t, j) in zip(cuts, cuts[1:])
+    ))
 
 
 def recompose(field: MinimalField) -> GoodPath:
@@ -227,19 +228,17 @@ def recompose(field: MinimalField) -> GoodPath:
     return GoodPath(field.k, steps, labels)
 
 
-def _rotate_to(p: GoodPath, touch_index: int) -> GoodPath:
-    """The representative with the touch_index-th diagonal touch at the origin."""
-    height, _ = diagonal_touches(p)[touch_index]
+def _rotate_to(p: GoodPath, height: int) -> GoodPath:
+    """The member of p's rotation class with the touch at `height` at the origin."""
     if height == 0:
         return p
-    j = height // (p.k - 1)
-    cut = j + height
-    return GoodPath(p.k, p.steps[cut:] + p.steps[:cut], p.labels[j:] + p.labels[:j])
+    s, j = _cut(p, height)
+    return GoodPath(p.k, p.steps[s:] + p.steps[:s], p.labels[j:] + p.labels[:j])
 
 
 def rotations(p: GoodPath) -> list[GoodPath]:
     """All members of the rotation class of p, one per diagonal touch."""
-    return [_rotate_to(p, t) for t in range(len(diagonal_touches(p)))]
+    return [_rotate_to(p, height) for height, _ in diagonal_touches(p)]
 
 
 def to_ornament(p: GoodPath) -> Ornament:
@@ -248,9 +247,8 @@ def to_ornament(p: GoodPath) -> Ornament:
     Rotating slides the periodized path along the diagonal until the
     touch with the smallest label sits at the origin.
     """
-    touches = diagonal_touches(p)
-    best = min(range(len(touches)), key=lambda t: touches[t][1])
-    return Ornament(_rotate_to(p, best))
+    height, _ = min(diagonal_touches(p), key=lambda touch: touch[1])
+    return Ornament(_rotate_to(p, height))
 
 
 def touch_count(o: Ornament) -> int:

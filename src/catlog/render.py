@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .multisets import CyclicMultiset
 from .paths import GoodPath, Ornament, diagonal_touches
-from .trees import CycleRootedTree, PlaneTree
+from .trees import CycleRootedTree, PlaneTree, slot_walk
 
 
 def render_path(p: GoodPath) -> str:
@@ -40,18 +40,15 @@ def render_path(p: GoodPath) -> str:
     return "\n".join(lines)
 
 
-def _render_slots(slot_map, k: int, v: int, depth: int, lines: list[str]) -> None:
-    for q, child in enumerate(slot_map[v], start=1):
-        if child is None:
-            lines.append("  " * depth + f"[{q}] -")
-        else:
-            lines.append("  " * depth + f"[{q}] {child}")
-            _render_slots(slot_map, k, child, depth + 1, lines)
+def _render_slots(slot_map, v: int, lines: list[str]) -> None:
+    for depth, q, child in slot_walk(slot_map, v):
+        occupant = "-" if child is None else child
+        lines.append("  " * depth + f"[{q + 1}] {occupant}")
 
 
 def render_tree(t: PlaneTree) -> str:
     lines = [f"tree k={t.k}", str(t.root)]
-    _render_slots(t.slot_map, t.k, t.root, 1, lines)
+    _render_slots(t.slot_map, t.root, lines)
     return "\n".join(lines)
 
 
@@ -60,7 +57,7 @@ def render_cycle_tree(c: CycleRootedTree) -> str:
     lines = [f"cycle-tree k={c.k}", header]
     for r in c.cycle:
         lines.append(f"root {r}")
-        _render_slots(c.slot_map, c.k, r, 1, lines)
+        _render_slots(c.slot_map, r, lines)
     return "\n".join(lines)
 
 

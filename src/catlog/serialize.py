@@ -25,19 +25,35 @@ def _as_int(value) -> int:
     return int(value)
 
 
-def _int_list(values) -> tuple[int, ...]:
+def _int_list(values, field: str) -> tuple[int, ...]:
+    if not isinstance(values, list):
+        raise ValueError(f"{field} must be a list")
     return tuple(_as_int(v) for v in values)
 
 
-def _slots_from_obj(obj) -> dict:
+def _keyed(obj, field: str) -> dict:
     if not isinstance(obj, dict):
-        raise ValueError("slots must be an object keyed by vertex")
+        raise ValueError(f"{field} must be an object keyed by vertex")
+    return {_as_int(key): value for key, value in obj.items()}
+
+
+def _slots_from_obj(obj) -> dict:
     out = {}
-    for key, row in obj.items():
+    for v, row in _keyed(obj, "slots").items():
         if not isinstance(row, list):
             raise ValueError("each slot array must be a list")
-        out[_as_int(key)] = tuple(None if c is None else _as_int(c) for c in row)
+        out[v] = tuple(None if c is None else _as_int(c) for c in row)
     return out
+
+
+def _parts(values, kind: str, cls) -> frozenset:
+    """The parts of a field or forest; each must be a `kind` object."""
+    if not isinstance(values, list):
+        raise ValueError("parts must be a list")
+    parts = frozenset(from_obj(p) for p in values)
+    if any(type(p) is not cls for p in parts):
+        raise ValueError(f"every part must be a {kind} object")
+    return parts
 
 
 def to_obj(x) -> dict:
@@ -83,29 +99,32 @@ def from_obj(obj):
         raise ValueError("input must be a JSON object with a 'kind' field")
     kind = obj["kind"]
     try:
-        if kind == "path":
-            return GoodPath(_as_int(obj["k"]), str(obj["steps"]), _int_list(obj["labels"]))
-        if kind == "ornament":
-            return Ornament(
-                GoodPath(_as_int(obj["k"]), str(obj["steps"]), _int_list(obj["labels"]))
-            )
+        if kind in ("path", "ornament"):
+            labels = _int_list(obj["labels"], "labels")
+            p = GoodPath(_as_int(obj["k"]), str(obj["steps"]), labels)
+            return p if kind == "path" else Ornament(p)
         if kind == "field":
-            return MinimalField(frozenset(from_obj(p) for p in obj["parts"]))
+            return MinimalField(_parts(obj["parts"], "path", GoodPath))
         if kind == "tree":
             return PlaneTree(
                 _as_int(obj["k"]), _as_int(obj["root"]), _slots_from_obj(obj["slots"])
             )
         if kind == "forest":
-            return RootMinimalForest(frozenset(from_obj(t) for t in obj["parts"]))
+            return RootMinimalForest(_parts(obj["parts"], "tree", PlaneTree))
         if kind == "cycle-tree":
             return CycleRootedTree(
-                _as_int(obj["k"]), _int_list(obj["cycle"]), _slots_from_obj(obj["slots"])
+                _as_int(obj["k"]),
+                _int_list(obj["cycle"], "cycle"),
+                _slots_from_obj(obj["slots"]),
             )
         if kind == "multiset":
             return CyclicMultiset(
                 _as_int(obj["k"]),
-                _int_list(obj["cycle"]),
-                {_as_int(v): _int_list(vec) for v, vec in obj["f"].items()},
+                _int_list(obj["cycle"], "cycle"),
+                {
+                    v: _int_list(vec, "each vector of f")
+                    for v, vec in _keyed(obj["f"], "f").items()
+                },
             )
     except KeyError as exc:
         raise ValueError(f"{kind} object is missing field {exc}") from exc

@@ -45,6 +45,40 @@ def _slots_key(slots: Slots):
     return tuple((v, tuple(-1 if c is None else c for c in row)) for v, row in slots)
 
 
+def _check_cycle(cycle) -> tuple[int, ...]:
+    """A root cycle as stored: nonempty, distinct labels, minimal label first."""
+    cycle = tuple(cycle)
+    if not cycle or len(set(cycle)) != len(cycle):
+        raise ValueError("the cycle must be a nonempty list of distinct labels")
+    if cycle[0] != min(cycle):
+        raise ValueError("the cycle must be stored starting at its minimal label")
+    return cycle
+
+
+def slot_walk(slot_map, root: int):
+    """Every slot below `root` as (depth, slot, occupant): depth first,
+    leftmost slot first, the root's own slots at depth 1, None for a
+    vacancy. Iterative, so deep trees need no recursion."""
+    stack = [enumerate(slot_map[root])]  # one open row per level
+    while stack:
+        for q, child in stack[-1]:
+            yield len(stack), q, child
+            if child is not None:
+                stack.append(enumerate(slot_map[child]))
+                break
+        else:
+            stack.pop()
+
+
+def _relink(k: int, slots, links) -> dict[int, tuple[int | None, ...]]:
+    """The slot table with the rightmost slot of each vertex v in `links`
+    set to links[v], an occupant or None."""
+    table = dict(slots)
+    for v, child in links.items():
+        table[v] = table[v][: k - 1] + (child,)
+    return table
+
+
 def _check_forest(k: int, roots, slots: Slots) -> None:
     """Shared shape validation: `slots` must describe a k-ary forest whose
     roots are exactly `roots`."""
@@ -61,28 +95,17 @@ def _check_forest(k: int, roots, slots: Slots) -> None:
         raise ValueError("a vertex occupies two slots")
     if set(occupants) != vs - set(roots):
         raise ValueError("slot occupants must be exactly the non-root vertices")
-    seen: set[int] = set()
+    # every non-root now has one parent, so the walks below terminate
     table = dict(slots)
-    stack = list(roots)
-    while stack:
-        v = stack.pop()
-        seen.add(v)
-        stack.extend(c for c in table[v] if c is not None)
+    seen = set(roots)
+    for r in roots:
+        seen.update(c for _, _, c in slot_walk(table, r) if c is not None)
     if seen != vs:
         raise ValueError("not every vertex hangs below a root")
 
 
-@dataclass(frozen=True)
-class PlaneTree:
-    k: int
-    root: int
-    slots: Slots
-
-    def __post_init__(self):
-        if self.k < 2:
-            raise ValueError("trees need k >= 2")
-        object.__setattr__(self, "slots", _normalize_slots(self.k, self.slots))
-        _check_forest(self.k, [self.root], self.slots)
+class _SlotTable:
+    """Slot-table accessors shared by the tree structures."""
 
     @cached_property
     def slot_map(self) -> dict[int, tuple[int | None, ...]]:
@@ -95,6 +118,19 @@ class PlaneTree:
     @property
     def n(self) -> int:
         return len(self.slots)
+
+
+@dataclass(frozen=True)
+class PlaneTree(_SlotTable):
+    k: int
+    root: int
+    slots: Slots
+
+    def __post_init__(self):
+        if self.k < 2:
+            raise ValueError("trees need k >= 2")
+        object.__setattr__(self, "slots", _normalize_slots(self.k, self.slots))
+        _check_forest(self.k, [self.root], self.slots)
 
 
 @dataclass(frozen=True)
@@ -121,7 +157,7 @@ class RootMinimalForest:
 
 
 @dataclass(frozen=True)
-class CycleRootedTree:
+class CycleRootedTree(_SlotTable):
     """A clockwise cycle of roots with vacant rightmost slots, each root
     carrying a hanging plane k-ary subtree.
 
@@ -136,28 +172,12 @@ class CycleRootedTree:
     def __post_init__(self):
         if self.k < 2:
             raise ValueError("trees need k >= 2")
-        object.__setattr__(self, "cycle", tuple(self.cycle))
+        object.__setattr__(self, "cycle", _check_cycle(self.cycle))
         object.__setattr__(self, "slots", _normalize_slots(self.k, self.slots))
-        if not self.cycle or len(set(self.cycle)) != len(self.cycle):
-            raise ValueError("the root cycle must be a nonempty list of distinct labels")
-        if self.cycle[0] != min(self.cycle):
-            raise ValueError("the root cycle must be stored starting at its minimal label")
         _check_forest(self.k, self.cycle, self.slots)
         for r in self.cycle:
             if self.slot_map[r][self.k - 1] is not None:
                 raise ValueError("the rightmost slot of a cycle vertex must stay vacant")
-
-    @cached_property
-    def slot_map(self) -> dict[int, tuple[int | None, ...]]:
-        return dict(self.slots)
-
-    @property
-    def vertices(self) -> frozenset[int]:
-        return frozenset(v for v, _ in self.slots)
-
-    @property
-    def n(self) -> int:
-        return len(self.slots)
 
 
 def rightmost_branch(t: PlaneTree) -> list[int]:
@@ -225,28 +245,18 @@ def enumerate_trees(
 def tree_to_forest(t: PlaneTree) -> RootMinimalForest:
     """Cut the rightmost branch wherever the next vertex undercuts the root
     of the piece being built; every piece comes out root-minimal."""
-    table = {v: list(row) for v, row in t.slots}
     roots = [t.root]
-    piece_root = t.root
-    cur = t.root
-    while True:
-        nxt = table[cur][t.k - 1]
-        if nxt is None:
-            break
-        if nxt < piece_root:
-            table[cur][t.k - 1] = None
+    cuts = {}
+    branch = rightmost_branch(t)
+    for cur, nxt in zip(branch, branch[1:]):
+        if nxt < roots[-1]:
+            cuts[cur] = None
             roots.append(nxt)
-            piece_root = nxt
-        cur = nxt
+    table = _relink(t.k, t.slots, cuts)
     parts = []
     for r in roots:
-        component: dict[int, tuple[int | None, ...]] = {}
-        stack = [r]
-        while stack:
-            v = stack.pop()
-            component[v] = tuple(table[v])
-            stack.extend(c for c in table[v] if c is not None)
-        parts.append(PlaneTree(t.k, r, component))
+        below = [c for _, _, c in slot_walk(table, r) if c is not None]
+        parts.append(PlaneTree(t.k, r, {v: table[v] for v in [r] + below}))
     return RootMinimalForest(frozenset(parts))
 
 
@@ -254,14 +264,9 @@ def forest_to_tree(f: RootMinimalForest) -> PlaneTree:
     """Inverse of tree_to_forest: glue the trees in decreasing root order,
     each root into the vacant rightmost slot ending the previous branch."""
     parts = sorted(f.parts, key=lambda t: t.root, reverse=True)
-    k = f.k
-    table: dict[int, list[int | None]] = {}
-    for t in parts:
-        table.update({v: list(row) for v, row in t.slots})
-    for prev, nxt in zip(parts, parts[1:]):
-        end = rightmost_branch(prev)[-1]
-        table[end][k - 1] = nxt.root
-    return PlaneTree(k, parts[0].root, {v: tuple(row) for v, row in table.items()})
+    rows = [row for t in parts for row in t.slots]
+    links = {rightmost_branch(a)[-1]: b.root for a, b in zip(parts, parts[1:])}
+    return PlaneTree(f.k, parts[0].root, _relink(f.k, rows, links))
 
 
 def to_cycle_rooted(t: PlaneTree) -> CycleRootedTree:
@@ -269,22 +274,15 @@ def to_cycle_rooted(t: PlaneTree) -> CycleRootedTree:
     branch order becomes clockwise order."""
     if not is_root_minimal(t):
         raise ValueError("only a root-minimal tree bends into a cycle")
-    branch = rightmost_branch(t)
-    table = {v: list(row) for v, row in t.slots}
-    for v in branch:
-        table[v][t.k - 1] = None
-    return CycleRootedTree(
-        t.k, tuple(branch), {v: tuple(row) for v, row in table.items()}
-    )
+    branch = tuple(rightmost_branch(t))
+    return CycleRootedTree(t.k, branch, _relink(t.k, t.slots, dict.fromkeys(branch)))
 
 
 def to_root_minimal(c: CycleRootedTree) -> PlaneTree:
     """Open the root cycle before its minimal vertex; the cycle becomes the
     rightmost branch of a root-minimal tree."""
-    table = {v: list(row) for v, row in c.slots}
-    for a, b in zip(c.cycle, c.cycle[1:]):
-        table[a][c.k - 1] = b
-    return PlaneTree(c.k, c.cycle[0], {v: tuple(row) for v, row in table.items()})
+    links = dict(zip(c.cycle, c.cycle[1:]))
+    return PlaneTree(c.k, c.cycle[0], _relink(c.k, c.slots, links))
 
 
 def enumerate_cycle_rooted(

@@ -256,6 +256,57 @@ class TestRender:
         assert code == 2
 
 
+class TestShapeErrors:
+    @pytest.mark.parametrize("text, field", [
+        ('{"kind":"multiset","k":2,"cycle":[1],"f":[1]}', "f"),
+        ('{"kind":"field","parts":5}', "parts"),
+        ('{"kind":"path","k":2,"steps":"RU","labels":5}', "labels"),
+        ('{"kind":"multiset","k":2,"cycle":[1],"f":{"1":1}}', "f"),
+        ('{"kind":"forest","parts":[{"kind":"path","k":2,"steps":"RU","labels":[1]}]}',
+         "part"),
+    ])
+    @pytest.mark.parametrize("argv", [("map", "--target", "ornament"), ("render",)])
+    def test_exit_2_naming_the_field(self, capsys, monkeypatch, text, field, argv):
+        feed(monkeypatch, text)
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert field in err
+
+
+class TestDeepCycleTree:
+    """A cycle-rooted tree whose root hangs a 1500-deep slot-0 chain."""
+
+    K, DEPTH = 3, 1500
+
+    @pytest.fixture
+    def deep(self, monkeypatch):
+        n = self.DEPTH + 1
+        slots = {v: (v + 1, None, None) for v in range(1, n)}
+        slots[n] = (None, None, None)
+        feed(monkeypatch, serialize.dumps(CycleRootedTree(self.K, (1,), slots)))
+        return n
+
+    def test_to_ornament(self, capsys, deep):
+        code, out, _ = run(capsys, "map", "--target", "ornament")
+        assert code == 0
+        assert json.loads(out)["steps"] == "R" * deep + "U" * ((self.K - 1) * deep)
+
+    def test_to_multiset(self, capsys, deep):
+        code, out, _ = run(capsys, "map", "--target", "multiset")
+        assert code == 0
+        f = json.loads(out)["f"]
+        assert f["1"] == [deep, 0]
+        assert all(vec == [0, 0] for v, vec in f.items() if v != "1")
+
+    def test_render(self, capsys, deep):
+        code, out, _ = run(capsys, "render")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 2 + 1 + self.K * deep
+        indents = [len(line) - len(line.lstrip()) for line in lines]
+        assert max(indents) == 2 * (self.DEPTH + 1)  # the deepest vertex's slots
+
+
 class TestSerialization:
     def test_roundtrip_all_kinds(self):
         p = GoodPath(2, "RURU", (2, 1))

@@ -141,6 +141,15 @@ class TestDecompose:
             ps = enumerate_paths(k, range(1, n + 1))
             assert len({decompose(p) for p in ps}) == len(ps)
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_every_touch_cut_at_scale(self, k):
+        # (R U^(k-1))^n with decreasing labels: every touch undercuts the last
+        n = 1000
+        p = GoodPath(k, ("R" + "U" * (k - 1)) * n, tuple(range(n, 0, -1)))
+        field = decompose(p)
+        assert len(field.parts) == n
+        assert recompose(field) == p
+
 
 class TestRecompose:
     def test_singleton(self):

@@ -12,6 +12,7 @@ from catlog.trees import (
     forest_to_tree,
     is_root_minimal,
     rightmost_branch,
+    slot_walk,
     to_cycle_rooted,
     to_root_minimal,
     tree_to_forest,
@@ -69,6 +70,23 @@ class TestRightmostBranch:
     def test_ignores_other_slots(self):
         t = tree(2, 2, {2: (1, None), 1: leaf_row(2)})
         assert rightmost_branch(t) == [2]
+
+
+class TestSlotWalk:
+    def test_depth_first_leftmost_first(self):
+        t = tree(2, 1, {1: (2, 3), 2: (None, 4), 3: leaf_row(2), 4: leaf_row(2)})
+        assert list(slot_walk(t.slot_map, 1)) == [
+            (1, 0, 2), (2, 0, None), (2, 1, 4), (3, 0, None), (3, 1, None),
+            (1, 1, 3), (2, 0, None), (2, 1, None),
+        ]
+
+    def test_deep_chain_needs_no_recursion(self):
+        n = 5000
+        table = {v: (v + 1, None) for v in range(1, n)}
+        table[n] = leaf_row(2)
+        t = tree(2, 1, table)
+        depths = [d for d, q, c in slot_walk(t.slot_map, 1) if c is not None]
+        assert depths == list(range(1, n))
 
 
 class TestRootMinimal:
