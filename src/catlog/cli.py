@@ -12,6 +12,7 @@ success, 1 when a verification suite fails, 2 on usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -53,7 +54,6 @@ _CONVERSIONS = {
 }
 
 _TARGET_ALIASES = {"minimal-field": "field", "minimal-forest": "forest"}
-_KINDS = ("path", "field", "ornament", "tree", "forest", "cycle-tree", "multiset")
 
 
 def _route(source: str, target: str) -> list:
@@ -142,7 +142,7 @@ def cmd_verify(args) -> int:
 def cmd_map(args) -> int:
     obj = json.loads(_read_input(args))
     structure = serialize.from_obj(obj)
-    source = serialize.to_obj(structure)["kind"]
+    source = serialize.KINDS[type(structure)]
     target = _TARGET_ALIASES.get(args.target, args.target)
     for step in _route(source, target):
         structure = step(structure)
@@ -157,7 +157,10 @@ def cmd_render(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later `main` call in the process (parsing leaves it unchanged)."""
     ap = argparse.ArgumentParser(
         prog="catlog",
         description="Exact combinatorics of the log of generalized Catalan "
@@ -199,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     m = sub.add_parser("map", help="convert a structure to another kind")
     m.add_argument("--target", required=True,
-                   choices=_KINDS + tuple(_TARGET_ALIASES))
+                   choices=tuple(serialize.KINDS.values()) + tuple(_TARGET_ALIASES))
     m.add_argument("--input", help="read JSON from a file instead of stdin")
     m.add_argument("--output")
     m.set_defaults(func=cmd_map)

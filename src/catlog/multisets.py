@@ -5,7 +5,9 @@ for each label, a vector of k-1 nonnegative multiplicities, all of them
 summing to n. Its cycle graph lists the nodes (label, q) for q = 1..k-1
 around the cycle; a segment walks that graph forward. A label is a root
 vertex when every segment starting at its first node keeps its total
-multiplicity (weight) at or above its number of distinct labels (scope).
+multiplicity (weight) at or above its number of distinct labels (scope);
+`root_vertices` finds them all in one pass by the cycle lemma, and the
+segment functions stay as the definition it is tested against.
 
 Ornaments encode into multisets by counting right steps per height
 above each label; cycle-rooted trees encode by depth-first exploration
@@ -97,23 +99,26 @@ def weight(m: CyclicMultiset, segment: Segment) -> int:
 
 
 def root_vertices(m: CyclicMultiset) -> set[int]:
-    """Labels whose every forward segment keeps weight >= scope."""
-    roots = set()
-    for start in m.cycle:
-        w = lam = 0
-        prev = None
-        ok = True
-        for v, q in _node_walk(m, start):
-            if v != prev:
-                lam += 1
-                prev = v
-            w += m.f_map[v][q - 1]
-            if w < lam:
-                ok = False
-                break
-        if ok:
-            roots.add(start)
-    return roots
+    """Labels whose every forward segment keeps weight >= scope.
+
+    By the cycle lemma (Dvoretzky-Motzkin; Raney), in one O(nk) pass.
+    Give the node (v, q) the step f(v, q) - [q = 1]: a segment's weight
+    minus its scope is the sum of its steps, and the steps around the
+    whole cycle graph sum to n - n = 0. Take prefix sums P along
+    m.cycle, P being 0 in front of the first node. Every segment from
+    (v, 1) keeps a nonnegative step sum, wrapping around or not, exactly
+    when the prefix sum in front of (v, 1) equals the minimum of P.
+    Only the steps at the (v, 1) nodes are negative, so the minimum is a
+    prefix sum just after some (v, 1).
+    """
+    before = []
+    low = total = 0
+    for v in m.cycle:
+        vec = m.f_map[v]
+        before.append(total)
+        low = min(low, total + vec[0] - 1)
+        total += sum(vec) - 1
+    return {v for v, p in zip(m.cycle, before) if p == low}
 
 
 def _weak_compositions(total: int, parts: int):

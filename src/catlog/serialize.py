@@ -56,35 +56,42 @@ def _parts(values, kind: str, cls) -> frozenset:
     return parts
 
 
+# the "kind" of each structure type, in the order the CLI lists them
+KINDS = {
+    GoodPath: "path",
+    MinimalField: "field",
+    Ornament: "ornament",
+    PlaneTree: "tree",
+    RootMinimalForest: "forest",
+    CycleRootedTree: "cycle-tree",
+    CyclicMultiset: "multiset",
+}
+
+
 def to_obj(x) -> dict:
-    """Plain-dict form of any structure, dispatching on its type."""
-    if isinstance(x, GoodPath):
-        return {"kind": "path", "k": x.k, "steps": x.steps, "labels": list(x.labels)}
-    if isinstance(x, Ornament):
-        return {
-            "kind": "ornament",
-            "k": x.k,
-            "steps": x.rep.steps,
-            "labels": list(x.rep.labels),
-        }
-    if isinstance(x, MinimalField):
+    """Plain-dict form of any structure, dispatching on its kind."""
+    kind = KINDS.get(type(x))
+    if kind in ("path", "ornament"):
+        p = x if kind == "path" else x.rep
+        return {"kind": kind, "k": p.k, "steps": p.steps, "labels": list(p.labels)}
+    if kind == "field":
         parts = sorted(x.parts, key=lambda p: (p.steps, p.labels))
-        return {"kind": "field", "parts": [to_obj(p) for p in parts]}
-    if isinstance(x, PlaneTree):
-        return {"kind": "tree", "k": x.k, "root": x.root, "slots": _slots_obj(x.slots)}
-    if isinstance(x, RootMinimalForest):
+        return {"kind": kind, "parts": [to_obj(p) for p in parts]}
+    if kind == "tree":
+        return {"kind": kind, "k": x.k, "root": x.root, "slots": _slots_obj(x.slots)}
+    if kind == "forest":
         parts = sorted(x.parts, key=lambda t: t.root)
-        return {"kind": "forest", "parts": [to_obj(t) for t in parts]}
-    if isinstance(x, CycleRootedTree):
+        return {"kind": kind, "parts": [to_obj(t) for t in parts]}
+    if kind == "cycle-tree":
         return {
-            "kind": "cycle-tree",
+            "kind": kind,
             "k": x.k,
             "cycle": list(x.cycle),
             "slots": _slots_obj(x.slots),
         }
-    if isinstance(x, CyclicMultiset):
+    if kind == "multiset":
         return {
-            "kind": "multiset",
+            "kind": kind,
             "k": x.k,
             "cycle": list(x.cycle),
             "f": {str(v): list(vec) for v, vec in x.f},

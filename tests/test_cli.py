@@ -1,5 +1,10 @@
 import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +23,15 @@ def run(capsys, *argv):
 
 def feed(monkeypatch, text: str):
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
+
+
+def run_python(*args):
+    """Run a fresh interpreter that imports catlog from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=60)
 
 
 class TestCoeff:
@@ -340,3 +354,55 @@ class TestUsage:
     def test_unknown_suite(self, capsys):
         code, _, _ = run(capsys, "verify", "--suite", "everything")
         assert code == 2
+
+
+class TestSharedParser:
+    """main builds its parser on the first call and reuses it."""
+
+    def test_usage_error_then_valid_call(self, capsys):
+        assert run(capsys, "coeff", "--k", "two")[0] == 2
+        assert run(capsys, "coeff", "--k", "2", "--max-n", "2")[0] == 0
+
+    def test_output_flag_does_not_carry_over(self, capsys, tmp_path, monkeypatch):
+        dst = tmp_path / "out.json"
+        path_json = '{"kind":"path","k":2,"steps":"RU","labels":[4]}'
+        feed(monkeypatch, path_json)
+        assert run(capsys, "map", "--target", "path", "--output", str(dst))[0] == 0
+        dst.unlink()
+        feed(monkeypatch, path_json)
+        code, out, _ = run(capsys, "map", "--target", "path")
+        assert code == 0
+        assert json.loads(out)["labels"] == [4]
+        assert not dst.exists()
+
+    def test_help(self, capsys):
+        code, out, _ = run(capsys, "--help")
+        assert code == 0
+        assert out.startswith("usage: catlog")
+
+    def test_built_once_and_not_on_import(self):
+        script = textwrap.dedent("""
+            import argparse
+            built = []
+            init = argparse.ArgumentParser.__init__
+            def counting(self, *args, **kwargs):
+                built.append(1)
+                init(self, *args, **kwargs)
+            argparse.ArgumentParser.__init__ = counting
+            import catlog.cli
+            if built:
+                raise SystemExit("importing catlog.cli built a parser")
+            catlog.cli.main(["coeff", "--max-n", "1"])
+            first = len(built)
+            catlog.cli.main(["coeff", "--max-n", "1"])
+            if not first or len(built) != first:
+                raise SystemExit(f"parsers built: {first}, then {len(built)}")
+        """)
+        result = run_python("-c", script)
+        assert result.returncode == 0, result.stderr
+
+
+def test_python_m_catlog():
+    result = run_python("-m", "catlog", "coeff", "--k", "2", "--max-n", "3")
+    assert result.returncode == 0, result.stderr
+    assert "10/3" in result.stdout

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from catlog.catalan import count_multisets, count_ornaments
 from catlog.errors import ResourceCapError
@@ -24,13 +25,36 @@ from catlog.paths import (
     rotations,
     to_ornament,
 )
-from catlog.trees import CycleRootedTree, enumerate_cycle_rooted
+from catlog.trees import CycleRootedTree, canonical_cycle, enumerate_cycle_rooted
 
 GRID = [(2, n) for n in range(1, 5)] + [(3, n) for n in range(1, 4)] + [(4, 1), (4, 2)]
 
 
 def ms(k, cycle, f):
     return CyclicMultiset(k, cycle, f)
+
+
+def roots_by_definition(m):
+    """Root vertices straight from the segment definition."""
+    return {
+        v
+        for v in m.cycle
+        if all(weight(m, s) >= scope(s) for s in segments_from(m, v))
+    }
+
+
+@st.composite
+def random_multisets(draw):
+    """A shuffled cycle on 1..n and a weak composition of n into the
+    n(k-1) nodes of its cycle graph."""
+    k = draw(st.integers(2, 5))
+    n = draw(st.integers(1, 60))
+    cycle = canonical_cycle(draw(st.permutations(range(1, n + 1))))
+    width = k - 1
+    counts = [0] * (n * width)
+    for node in draw(st.lists(st.integers(0, n * width - 1), min_size=n, max_size=n)):
+        counts[node] += 1
+    return ms(k, cycle, {v: counts[(v - 1) * width : v * width] for v in cycle})
 
 
 class TestConstruction:
@@ -110,6 +134,34 @@ class TestRootVertices:
 
     def test_empty_for_unrooted(self):
         assert root_vertices(ms(3, (1,), {1: (0, 1)})) == set()
+
+    @pytest.mark.parametrize("k, n", [(2, 5), (3, 4), (4, 3)])
+    def test_definition_on_acceptance_grid(self, k, n):
+        for m in enumerate_multisets(k, n):
+            assert root_vertices(m) == roots_by_definition(m), m
+
+    @given(random_multisets())
+    def test_definition_on_random_multisets(self, m):
+        assert root_vertices(m) == roots_by_definition(m)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_max_touch_is_linear(self, k):
+        # every label is a root: the quadratic scan takes minutes here
+        n = 20_000
+        steps = ("R" + "U" * (k - 1)) * n
+        o = to_ornament(GoodPath(k, steps, tuple(range(n, 0, -1))))
+        m = ornament_to_multiset(o)
+        assert root_vertices(m) == set(range(1, n + 1))
+        assert multiset_to_ornament(m) == o
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_hug_has_one_root(self, k):
+        n = 20_000
+        steps = "R" * n + "U" * ((k - 1) * n)
+        o = to_ornament(GoodPath(k, steps, tuple(range(1, n + 1))))
+        m = ornament_to_multiset(o)
+        assert root_vertices(m) == {1}
+        assert multiset_to_ornament(m) == o
 
 
 class TestEnumerate:
