@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import binomial, factorial, format_rational, harmonic, multichoose
+from .arith import binomial, factorial, format_rational, multichoose
 from . import series as fps
 
 
@@ -42,43 +42,59 @@ def returns_count(k: int, n: int, p: int) -> int:
     return value.numerator
 
 
-def composition_sum(p: int, a: int) -> Fraction:
-    """Sum of 1/(q_1*...*q_a) over all a-part compositions of p.
+def _stirling_column(n: int, a: int) -> list[int]:
+    """Unsigned Stirling numbers of the first kind c(p, a) for p = 0..n:
+    the permutations of p elements with exactly a cycles, row by row from
+    c(p, j) = c(p-1, j-1) + (p-1)*c(p-1, j)."""
+    row = [1] + [0] * a  # c(0, j) for j = 0..a
+    column = [row[a]]
+    for p in range(1, n + 1):
+        for j in range(a, 0, -1):
+            row[j] = row[j - 1] + (p - 1) * row[j]
+        row[0] = 0
+        column.append(row[a])
+    return column
 
-    Dynamic programming over (parts used, total reached); the literal
-    composition enumeration lives in the tests as an oracle. Returns 0
-    when a > p (no compositions).
+
+def composition_sum(p: int, a: int) -> Fraction:
+    """Sum of 1/(q_1*...*q_a) over all a-part compositions of p, which is
+    a!*c(p, a)/p! with c the unsigned Stirling numbers of the first kind.
+
+    Proof by double counting the sequences (C_1, ..., C_a) of a cycles
+    whose vertex sets partition {1..p}. For fixed sizes (q_1, ..., q_a),
+    choose the vertex sets in p!/(q_1!*...*q_a!) ways and close each set
+    of q elements into a cycle in (q-1)! ways: p!/(q_1*...*q_a) sequences.
+    Summed over the compositions q this is p! times the left side. Each
+    such sequence is also a permutation of p elements with a cycles, listed
+    in one of a! orders, so there are a!*c(p, a) of them.
+
+    The literal composition enumeration lives in the tests as an oracle.
+    Returns 0 when a > p (no compositions).
     """
     if p < 1 or a < 1:
         raise ValueError("composition_sum needs p >= 1 and a >= 1")
-    if a > p:
-        return Fraction(0)
-    table = [[Fraction(0)] * (p + 1) for _ in range(a + 1)]
-    table[0][0] = Fraction(1)
-    for j in range(1, a + 1):
-        for m in range(j, p + 1):
-            acc = Fraction(0)
-            for q in range(1, m - j + 2):
-                acc += table[j - 1][m - q] / q
-            table[j][m] = acc
-    return table[a][p]
+    return Fraction(factorial(a) * _stirling_column(p, a)[p], factorial(p))
 
 
 def coeff_log_power(k: int, n: int, a: int) -> Fraction:
     """Coefficient of x^n in the a-th power of the log of the Catalan series.
 
-    Computed as the diagonal-return sum over p, so it stays independent
-    of both the factorial form in coeff_log and the series expansion.
-    Zero for n < a (the a-th log power has valuation a).
+    Computed as the diagonal-return sum over p of returns_count(k, n, p)
+    times composition_sum(p, a) = a!*c(p, a)/p!, so it stays independent
+    of both the factorial form in coeff_log and the series expansion. One
+    Stirling column serves every p, and the sum is kept over the common
+    denominator n!. Zero for n < a (the a-th log power has valuation a).
     """
     if k < 2 or a < 1 or n < 1:
         raise ValueError("coeff_log_power needs k >= 2, n >= 1, a >= 1")
     if n < a:
         return Fraction(0)
-    total = Fraction(0)
-    for p in range(a, n + 1):
-        total += returns_count(k, n, p) * composition_sum(p, a)
-    return total
+    stirling = _stirling_column(n, a)
+    total, falling = 0, 1  # falling = n!/p!
+    for p in range(n, a - 1, -1):
+        total += returns_count(k, n, p) * stirling[p] * falling
+        falling *= p
+    return Fraction(factorial(a) * total, factorial(n))
 
 
 def knuth_log2_coeff(n: int) -> Fraction:
@@ -86,7 +102,10 @@ def knuth_log2_coeff(n: int) -> Fraction:
     (1/n) * C(2n, n) * (H_{2n-1} - H_n)."""
     if n < 1:
         raise ValueError("knuth_log2_coeff needs n >= 1")
-    return Fraction(binomial(2 * n, n), n) * (harmonic(2 * n - 1) - harmonic(n))
+    tail = Fraction(0)  # H_{2n-1} - H_n
+    for i in range(n + 1, 2 * n):
+        tail += Fraction(1, i)
+    return Fraction(binomial(2 * n, n), n) * tail
 
 
 def knuth_general_log2(k: int, n: int) -> Fraction:
@@ -95,8 +114,10 @@ def knuth_general_log2(k: int, n: int) -> Fraction:
     if k < 2 or n < 2:
         raise ValueError("knuth_general_log2 needs k >= 2 and n >= 2")
     total = Fraction(0)
+    h = Fraction(0)  # H_{p-1}, carried from one p to the next
     for p in range(2, n + 1):
-        total += Fraction(k - 1, k * n - p) * binomial(k * n - p, n - p) * harmonic(p - 1)
+        h += Fraction(1, p - 1)
+        total += Fraction(k - 1, k * n - p) * binomial(k * n - p, n - p) * h
     return 2 * total
 
 

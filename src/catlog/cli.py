@@ -106,7 +106,7 @@ def cmd_coeff(args) -> int:
                 line += f"  {str(row.series_value):>20}  {'yes' if row.match else 'NO'}"
             lines.append(line)
         _emit("\n".join(lines) + "\n", args)
-    return 0
+    return 1 if any(row.match is False for row in table.rows) else 0
 
 
 def cmd_enumerate(args) -> int:

@@ -71,6 +71,23 @@ class TestCoeff:
         code, _, _ = run(capsys, "coeff", "--k", "2", "--max-n", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_mismatch_exits_1(self, capsys, monkeypatch, fmt):
+        real = catlog.catalan.coeff_log
+
+        def skewed(k, n):
+            value = real(k, n)
+            return value + 1 if (k, n) == (2, 3) else value
+
+        monkeypatch.setattr(catlog.catalan, "coeff_log", skewed)
+        code, out, _ = run(capsys, "coeff", "--k", "2", "--max-n", "4", "--check",
+                           "--format", fmt)
+        assert code == 1
+        assert out.count("NO" if fmt == "table" else "false") == 1
+        # without --check nothing is compared, so nothing can fail
+        code, _, _ = run(capsys, "coeff", "--k", "2", "--max-n", "4", "--format", fmt)
+        assert code == 0
+
 
 class TestEnumerate:
     def test_ornament_stream(self, capsys):

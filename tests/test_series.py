@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from catlog.catalan import gen_catalan
 from catlog.series import Series, catalan_series
@@ -124,7 +124,36 @@ class TestLogExp:
         assert g.exp().log() == g
 
 
+def fixed_point_series(k: int, order: int) -> Series:
+    """Oracle: the fixed-point iteration g <- 1 + x*g^k, on plain integer
+    lists. Each round settles at least one more coefficient, so order+1
+    rounds settle all of them."""
+    g = [1] + [0] * order
+    for _ in range(order + 1):
+        power = [1] + [0] * order
+        for _ in range(k):
+            power = [sum(power[i] * g[m - i] for i in range(m + 1)) for m in range(order + 1)]
+        g = [1] + power[:order]
+    return Series(tuple(g))
+
+
 class TestCatalanSeries:
+    def test_matches_fixed_point_iteration(self):
+        for k in range(1, 7):
+            oracle = fixed_point_series(k, 30)
+            assert catalan_series(k, 30) == oracle, k
+            for order in range(30):
+                assert catalan_series(k, order).coeffs == oracle.coeffs[: order + 1], (k, order)
+
+    @settings(max_examples=40)
+    @given(st.integers(1, 7), st.integers(0, 25))
+    def test_fixed_point_random(self, k, order):
+        assert catalan_series(k, order) == fixed_point_series(k, order)
+
+    def test_order_zero(self):
+        for k in range(1, 6):
+            assert catalan_series(k, 0) == Series.one(0)
+
     def test_k2_coefficients(self):
         g = catalan_series(2, 4)
         assert list(g.coeffs) == [1, 1, 2, 5, 14]
@@ -137,7 +166,8 @@ class TestCatalanSeries:
         assert catalan_series(3, 2)[2] == 3
 
     def test_k1_is_geometric(self):
-        assert catalan_series(1, 6) == Series((Fraction(1),) * 7)
+        for order in (0, 1, 6, 40):
+            assert catalan_series(1, order) == Series((Fraction(1),) * (order + 1))
 
     def test_functional_equation_residual_zero(self):
         for k in range(1, 6):
@@ -156,8 +186,8 @@ class TestCatalanSeries:
 
     def test_matches_closed_form(self):
         for k in (1, 2, 3, 4):
-            g = catalan_series(k, 10)
-            for n in range(1, 11):
+            g = catalan_series(k, 300)
+            for n in range(1, 301):
                 assert g[n] == gen_catalan(k, n)
 
 
