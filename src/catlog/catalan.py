@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import binomial, factorial, format_rational, multichoose
+from .arith import binomial, factorial, format_rational, harmonic, multichoose
 from . import series as fps
 
 
@@ -102,10 +102,7 @@ def knuth_log2_coeff(n: int) -> Fraction:
     (1/n) * C(2n, n) * (H_{2n-1} - H_n)."""
     if n < 1:
         raise ValueError("knuth_log2_coeff needs n >= 1")
-    tail = Fraction(0)  # H_{2n-1} - H_n
-    for i in range(n + 1, 2 * n):
-        tail += Fraction(1, i)
-    return Fraction(binomial(2 * n, n), n) * tail
+    return Fraction(binomial(2 * n, n), n) * (harmonic(2 * n - 1) - harmonic(n))
 
 
 def knuth_general_log2(k: int, n: int) -> Fraction:

@@ -6,17 +6,10 @@ rather than a silent re-truncation, so that a wrong order in a
 cross-check fails loudly instead of hiding a bug.
 
 The series here exist to be the independent side of coefficient checks:
-nothing is taken from a closed form. The generating function of
-generalized Catalan numbers is grown from its defining equation
-G = 1 + x*G^k alone: with P = G^k, differentiating gives P'*G = k*G'*P,
-whose coefficients are J.C.P. Miller's power recurrence, and the
-equation itself reads G_m = P_(m-1) (see catalan_series). log and exp
-are computed coefficient by coefficient from their derivatives.
-
-Integer powers stay repeated products on purpose. The functional-
-equation check in the verify suite forms g**k through them, so it
-tests catalan_series by a route that shares no arithmetic with
-Miller's recurrence.
+the generating function of generalized Catalan numbers is produced by
+fixed-point iteration on its defining equation G = 1 + x*G^k, and log,
+exp and integer powers are computed coefficient by coefficient, never
+from closed forms.
 """
 
 from __future__ import annotations
@@ -190,24 +183,17 @@ class Series:
 def catalan_series(k: int, order: int) -> Series:
     """Generating function of generalized Catalan numbers, truncated.
 
-    The unique series G with constant term 1 satisfying G = 1 + x*G^k,
-    grown one coefficient at a time in O(order^2) integer steps. Keep
-    P = G^k. From P'*G = k*G'*P, comparing the coefficients of x^(m-1)
-    gives Miller's recurrence (Knuth, TAOCP vol. 2, 4.7)
-
-        m*P_m = sum_{j=1..m} ((k+1)*j - m) * G_j * P_(m-j),
-
-    which needs G only up to G_m, and G = 1 + x*P gives G_m = P_(m-1).
-    Every coefficient is an integer, so each division is exact.
+    The unique series G with constant term 1 satisfying G = 1 + x*G^k.
+    Fixed-point iteration G <- 1 + x*G^k gains at least one exact
+    coefficient per round, so order+1 rounds settle every coefficient.
     """
     if k < 1:
         raise ValueError("catalan_series needs k >= 1")
     if order < 0:
         raise ValueError("order must be >= 0")
-    g, p = [1], [1]
-    for m in range(1, order + 1):
-        g.append(p[m - 1])
-        q, r = divmod(sum(((k + 1) * j - m) * g[j] * p[m - j] for j in range(1, m + 1)), m)
-        assert r == 0, "the coefficients of G^k are integers"
-        p.append(q)
-    return Series(tuple(g))
+    one = Series.one(order)
+    x = Series.x(order)
+    g = one
+    for _ in range(order + 1):
+        g = one + x * g**k
+    return g
