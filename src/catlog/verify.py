@@ -176,121 +176,169 @@ def suite_counts(ks, max_n: int, max_count=DEFAULT_MAX_ENUMERATION) -> list[Chec
     return out
 
 
-def suite_bijections(ks, max_n: int, max_count=DEFAULT_MAX_ENUMERATION) -> list[CheckResult]:
-    """Roundtrips and range identities for every structure correspondence."""
-    out = []
+def _counterexample(holds, items, *images):
+    """The first item x for which holds(x, *its images) is false, or None.
+
+    `images` are lists parallel to `items`: the i-th entry of each is the
+    i-th item's image under one bijection."""
+    for x, *ys in zip(items, *images):
+        if not holds(x, *ys):
+            return x
+    return None
+
+
+def _check_all(name, k, n, bad) -> CheckResult:
+    """A for-all check; a failure carries its first counterexample as the
+    catlog JSON that `catlog map` and `catlog render` read."""
+    if bad is None:
+        return _check(name, k, n, True)
+    # imported here, not at the top: `import catlog` stays free of json
+    from . import serialize
+
+    return _check(name, k, n, False, serialize.dumps(bad))
+
+
+def _range_check(name, k, n, images, rooted: set) -> CheckResult:
+    """The images are exactly the rooted multisets."""
+    got = set(images)
+    return _check(name, k, n, got == rooted, f"{len(got)} images vs {len(rooted)} rooted")
+
+
+def _point_checks(k: int, n: int, max_count, bijections: bool, statistics: bool):
+    """The bijections and the statistics checks at one grid point, as two
+    lists in their suites' order; a suite not asked for gives [].
+
+    Each bijection image is computed once per structure and read by every
+    check of either suite that needs it. An image list is dropped after
+    its last reader, and a suite not asked for builds none of the images
+    only it reads."""
+    (all_paths, minimal, ornaments, all_trees, min_trees, cycle_trees,
+     all_ms, rooted_ms) = _grid_structures(k, n, max_count)
+    bij: list[CheckResult] = []
+    stat: list[CheckResult] = []
+
+    if bijections:
+        rooted = set(rooted_ms)
+        fields = [paths.decompose(p) for p in all_paths]
+        bij.append(_check_all("path-field-roundtrip", k, n, _counterexample(
+            lambda p, f: paths.recompose(f) == p, all_paths, fields)))
+        n_images = len(set(fields))
+        del fields
+        total_fields = sum(
+            len(_grid_fields(k, n, a, max_count)) for a in range(1, n + 1)
+        )
+        bij.append(_check("path-field-bijective", k, n,
+                          n_images == len(all_paths) == total_fields,
+                          f"{len(all_paths)} paths, {n_images} images, "
+                          f"{total_fields} fields"))
+
+        forests = [trees.tree_to_forest(t) for t in all_trees]
+        bij.append(_check_all("tree-forest-roundtrip", k, n, _counterexample(
+            lambda t, f: trees.forest_to_tree(f) == t, all_trees, forests)))
+        bij.append(_check("tree-forest-injective", k, n,
+                          len(set(forests)) == len(all_trees)))
+        bij.append(_check_all("forest-parts-root-minimal", k, n, _counterexample(
+            lambda t, f: all(trees.is_root_minimal(part) for part in f.parts),
+            all_trees, forests)))
+        del forests
+
+        cycled = [trees.to_cycle_rooted(t) for t in min_trees]
+        bad = _counterexample(lambda t, c: trees.to_root_minimal(c) == t,
+                              min_trees, cycled)
+        if bad is None:
+            bad = _counterexample(
+                lambda c: trees.to_cycle_rooted(trees.to_root_minimal(c)) == c,
+                cycle_trees)
+        bij.append(_check_all("min-cycle-roundtrip", k, n, bad))
+        bij.append(_check_all("cycle-length-is-branch-length", k, n, _counterexample(
+            lambda t, c: len(c.cycle) == len(trees.rightmost_branch(t)),
+            min_trees, cycled)))
+        del cycled
+
+    if statistics:
+        expected = {
+            p: factorial(n) * catalan.returns_count(k, n, p) // p
+            for p in range(1, n + 1)
+        }
+        expected = {p: c for p, c in expected.items() if c}
+        touch_dist = dict(Counter(paths.touch_count(o) for o in ornaments))
+        cycle_dist = dict(Counter(len(c.cycle) for c in cycle_trees))
+        stat.append(_check("touch-distribution", k, n, touch_dist == expected,
+                           f"{expected} vs {touch_dist}"))
+        stat.append(_check("cycle-length-distribution", k, n,
+                           cycle_dist == expected, f"{expected} vs {cycle_dist}"))
+        word_dist: Counter = Counter()
+        for p in all_paths:
+            word_dist[len(paths.diagonal_touches(p))] += 1
+        labeled_expected = {p: factorial(n) * catalan.returns_count(k, n, p)
+                            for p in range(1, n + 1)}
+        labeled_expected = {p: c for p, c in labeled_expected.items() if c}
+        stat.append(_check("labeled-touch-distribution", k, n,
+                           dict(word_dist) == labeled_expected))
+        touch_labels = [{lab for _, lab in paths.diagonal_touches(o.rep)}
+                        for o in ornaments]
+
+    encoded = [multisets.ornament_to_multiset(o) for o in ornaments]
+    if bijections:
+        bij.append(_check_all("ornament-multiset-roundtrip", k, n, _counterexample(
+            lambda o, m: multisets.multiset_to_ornament(m) == o, ornaments, encoded)))
+        bij.append(_range_check("ornament-encoding-range", k, n, encoded, rooted))
+    if statistics:
+        stat.append(_check_all("ornament-root-vertices", k, n, _counterexample(
+            lambda o, m, labels: multisets.root_vertices(m) == labels,
+            ornaments, encoded, touch_labels)))
+
+    tree_codes = [multisets.cycle_tree_to_multiset(c) for c in cycle_trees]
+    if bijections:
+        bij.append(_check_all("cycle-tree-multiset-roundtrip", k, n, _counterexample(
+            lambda c, m: multisets.multiset_to_cycle_tree(m) == c,
+            cycle_trees, tree_codes)))
+        bij.append(_range_check("cycle-tree-encoding-range", k, n, tree_codes, rooted))
+    if statistics:
+        stat.append(_check_all("cycle-tree-root-vertices", k, n, _counterexample(
+            lambda c, m: multisets.root_vertices(m) == set(c.cycle),
+            cycle_trees, tree_codes)))
+    del tree_codes
+
+    carried = [multisets.multiset_to_cycle_tree(m) for m in encoded]
+    del encoded
+    if bijections:
+        bij.append(_check_all("composed-correspondence-roundtrip", k, n, _counterexample(
+            lambda o, c: multisets.cycle_tree_to_ornament(c) == o, ornaments, carried)))
+    if statistics:
+        stat.append(_check_all("touch-labels-become-roots", k, n, _counterexample(
+            lambda o, c, labels: set(c.cycle) == labels,
+            ornaments, carried, touch_labels)))
+        del touch_labels
+    del carried
+
+    if bijections:
+        bij.append(_check_all("rotation-class-constant", k, n, _counterexample(
+            lambda o: all(paths.to_ornament(q) == o for q in paths.rotations(o.rep)),
+            ornaments)))
+    return bij, stat
+
+
+def _structure_suites(ks, max_n: int, max_count, bijections: bool, statistics: bool):
+    """Walk the grid once; return the bijections and the statistics results."""
+    bij: list[CheckResult] = []
+    stat: list[CheckResult] = []
     for k in ks:
         for n in range(1, max_n + 1):
-            (all_paths, minimal, ornaments, all_trees, min_trees, cycle_trees,
-             all_ms, rooted_ms) = _grid_structures(k, n, max_count)
-            rooted_set = set(rooted_ms)
+            b, s = _point_checks(k, n, max_count, bijections, statistics)
+            bij += b
+            stat += s
+    return bij, stat
 
-            images = {paths.decompose(p) for p in all_paths}
-            out.append(_check(
-                "path-field-roundtrip", k, n,
-                all(paths.recompose(paths.decompose(p)) == p for p in all_paths)))
-            total_fields = sum(
-                len(_grid_fields(k, n, a, max_count)) for a in range(1, n + 1)
-            )
-            out.append(_check("path-field-bijective", k, n,
-                              len(images) == len(all_paths) == total_fields,
-                              f"{len(all_paths)} paths, {len(images)} images, "
-                              f"{total_fields} fields"))
 
-            out.append(_check(
-                "tree-forest-roundtrip", k, n,
-                all(trees.forest_to_tree(trees.tree_to_forest(t)) == t
-                    for t in all_trees)))
-            out.append(_check(
-                "tree-forest-injective", k, n,
-                len({trees.tree_to_forest(t) for t in all_trees}) == len(all_trees)))
-            out.append(_check(
-                "forest-parts-root-minimal", k, n,
-                all(trees.is_root_minimal(part)
-                    for t in all_trees for part in trees.tree_to_forest(t).parts)))
-
-            out.append(_check(
-                "min-cycle-roundtrip", k, n,
-                all(trees.to_root_minimal(trees.to_cycle_rooted(t)) == t
-                    for t in min_trees)
-                and all(trees.to_cycle_rooted(trees.to_root_minimal(c)) == c
-                        for c in cycle_trees)))
-            out.append(_check(
-                "cycle-length-is-branch-length", k, n,
-                all(len(trees.to_cycle_rooted(t).cycle) == len(trees.rightmost_branch(t))
-                    for t in min_trees)))
-
-            orn_images = {multisets.ornament_to_multiset(o) for o in ornaments}
-            out.append(_check(
-                "ornament-multiset-roundtrip", k, n,
-                all(multisets.multiset_to_ornament(multisets.ornament_to_multiset(o)) == o
-                    for o in ornaments)))
-            out.append(_check("ornament-encoding-range", k, n,
-                              orn_images == rooted_set,
-                              f"{len(orn_images)} images vs {len(rooted_set)} rooted"))
-
-            tree_images = {multisets.cycle_tree_to_multiset(c) for c in cycle_trees}
-            out.append(_check(
-                "cycle-tree-multiset-roundtrip", k, n,
-                all(multisets.multiset_to_cycle_tree(multisets.cycle_tree_to_multiset(c)) == c
-                    for c in cycle_trees)))
-            out.append(_check("cycle-tree-encoding-range", k, n,
-                              tree_images == rooted_set,
-                              f"{len(tree_images)} images vs {len(rooted_set)} rooted"))
-
-            out.append(_check(
-                "composed-correspondence-roundtrip", k, n,
-                all(multisets.cycle_tree_to_ornament(multisets.ornament_to_cycle_tree(o)) == o
-                    for o in ornaments)))
-            out.append(_check(
-                "rotation-class-constant", k, n,
-                all(paths.to_ornament(q) == o
-                    for o in ornaments for q in paths.rotations(o.rep))))
-    return out
+def suite_bijections(ks, max_n: int, max_count=DEFAULT_MAX_ENUMERATION) -> list[CheckResult]:
+    """Roundtrips and range identities for every structure correspondence."""
+    return _structure_suites(ks, max_n, max_count, True, False)[0]
 
 
 def suite_statistics(ks, max_n: int, max_count=DEFAULT_MAX_ENUMERATION) -> list[CheckResult]:
     """Distribution identities: touches, cycle lengths, and root vertices."""
-    out = []
-    for k in ks:
-        for n in range(1, max_n + 1):
-            (all_paths, minimal, ornaments, all_trees, min_trees, cycle_trees,
-             all_ms, rooted_ms) = _grid_structures(k, n, max_count)
-            expected = {
-                p: factorial(n) * catalan.returns_count(k, n, p) // p
-                for p in range(1, n + 1)
-            }
-            expected = {p: c for p, c in expected.items() if c}
-            touch_dist = dict(Counter(paths.touch_count(o) for o in ornaments))
-            cycle_dist = dict(Counter(len(c.cycle) for c in cycle_trees))
-            out.append(_check("touch-distribution", k, n, touch_dist == expected,
-                              f"{expected} vs {touch_dist}"))
-            out.append(_check("cycle-length-distribution", k, n,
-                              cycle_dist == expected, f"{expected} vs {cycle_dist}"))
-            word_dist: Counter = Counter()
-            for p in all_paths:
-                word_dist[len(paths.diagonal_touches(p))] += 1
-            labeled_expected = {p: factorial(n) * catalan.returns_count(k, n, p)
-                                for p in range(1, n + 1)}
-            labeled_expected = {p: c for p, c in labeled_expected.items() if c}
-            out.append(_check("labeled-touch-distribution", k, n,
-                              dict(word_dist) == labeled_expected))
-            out.append(_check(
-                "ornament-root-vertices", k, n,
-                all(multisets.root_vertices(multisets.ornament_to_multiset(o))
-                    == {lab for _, lab in paths.diagonal_touches(o.rep)}
-                    for o in ornaments)))
-            out.append(_check(
-                "cycle-tree-root-vertices", k, n,
-                all(multisets.root_vertices(multisets.cycle_tree_to_multiset(c))
-                    == set(c.cycle)
-                    for c in cycle_trees)))
-            out.append(_check(
-                "touch-labels-become-roots", k, n,
-                all(set(multisets.ornament_to_cycle_tree(o).cycle)
-                    == {lab for _, lab in paths.diagonal_touches(o.rep)}
-                    for o in ornaments)))
-    return out
+    return _structure_suites(ks, max_n, max_count, False, True)[1]
 
 
 SUITES = {
@@ -318,8 +366,9 @@ def run_suite(
         results += suite_series(ks, max_n)
         structural = [k for k in ks if k >= 2]
         if structural:
-            for fn in (suite_counts, suite_bijections, suite_statistics):
-                results += fn(structural, max_n, max_count)
+            results += suite_counts(structural, max_n, max_count)
+            bij, stat = _structure_suites(structural, max_n, max_count, True, True)
+            results += bij + stat
         return VerificationReport("all", tuple(results))
     if suite == "series":
         return VerificationReport(suite, tuple(suite_series(ks, max_n)))
