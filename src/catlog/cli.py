@@ -23,7 +23,9 @@ from .errors import DEFAULT_MAX_ENUMERATION, ResourceCapError
 # enumerable structures: name -> (k, n, max_count) -> list
 _ENUMERATORS = {
     "paths": lambda k, n, cap: paths.enumerate_paths(k, range(1, n + 1), cap),
-    "minimal-paths": paths.enumerate_minimal_paths,
+    "minimal-paths": lambda k, n, cap: paths.enumerate_minimal_paths(
+        k, range(1, n + 1), cap
+    ),
     "ornaments": paths.enumerate_ornaments,
     "trees": lambda k, n, cap: trees.enumerate_trees(k, range(1, n + 1), cap),
     "minimal-trees": lambda k, n, cap: [
@@ -140,8 +142,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_map(args) -> int:
-    obj = json.loads(_read_input(args))
-    structure = serialize.from_obj(obj)
+    structure = serialize.loads(_read_input(args))
     source = serialize.KINDS[type(structure)]
     target = _TARGET_ALIASES.get(args.target, args.target)
     for step in _route(source, target):
@@ -151,8 +152,7 @@ def cmd_map(args) -> int:
 
 
 def cmd_render(args) -> int:
-    obj = json.loads(_read_input(args))
-    structure = serialize.from_obj(obj)
+    structure = serialize.loads(_read_input(args))
     _emit(render.render(structure) + "\n", args)
     return 0
 

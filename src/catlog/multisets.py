@@ -182,19 +182,23 @@ def ornament_to_multiset(o: Ornament) -> CyclicMultiset:
     return CyclicMultiset(p.k, canonical_cycle(p.labels), counts)
 
 
+def _least_root_order(m: CyclicMultiset, what: str) -> tuple[tuple[int, ...], set[int]]:
+    """The cycle read from its smallest root vertex, and the root vertices;
+    a multiset without root vertices encodes no `what` at all."""
+    roots = root_vertices(m)
+    if not roots:
+        raise ValueError(f"multiset has no root vertices, so it encodes no {what}")
+    i = m.cycle.index(min(roots))
+    return m.cycle[i:] + m.cycle[:i], roots
+
+
 def multiset_to_ornament(m: CyclicMultiset) -> Ornament:
     """Rebuild the label-minimal representative from the multiplicities.
 
     Starting the label order at the smallest root vertex makes the word
-    good and label-minimal; a multiset without root vertices encodes no
-    path at all.
+    good and label-minimal.
     """
-    roots = root_vertices(m)
-    if not roots:
-        raise ValueError("multiset has no root vertices, so it encodes no ornament")
-    start = min(roots)
-    i = m.cycle.index(start)
-    order = m.cycle[i:] + m.cycle[:i]
+    order, _ = _least_root_order(m, "ornament")
     chunks = []
     for v in order:
         for r in m.f_map[v]:
@@ -260,13 +264,8 @@ def multiset_to_cycle_tree(m: CyclicMultiset) -> CycleRootedTree:
     where subtrees start, and multiplicities are consumed as remaining
     chain budgets while the labels are attached in cycle order.
     """
-    roots = root_vertices(m)
-    if not roots:
-        raise ValueError("multiset has no root vertices, so it encodes no tree")
+    seq, roots = _least_root_order(m, "tree")
     k = m.k
-    start = min(roots)
-    i = m.cycle.index(start)
-    seq = m.cycle[i:] + m.cycle[:i]
     table: dict[int, list[int | None]] = {v: [None] * k for v in m.cycle}
 
     def build(v: int, chains: list[int], pos: int) -> int:

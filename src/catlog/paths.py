@@ -89,10 +89,6 @@ class MinimalField:
     def k(self) -> int:
         return next(iter(self.parts)).k
 
-    @property
-    def labels(self) -> frozenset[int]:
-        return frozenset(v for p in self.parts for v in p.labels)
-
 
 @dataclass(frozen=True)
 class Ornament:
@@ -179,14 +175,11 @@ def enumerate_paths(
 
 
 def enumerate_minimal_paths(
-    k: int, n: int, max_count: int | None = DEFAULT_MAX_ENUMERATION
+    k: int, labels, max_count: int | None = DEFAULT_MAX_ENUMERATION
 ) -> list[GoodPath]:
-    """The label-minimal paths on labels 1..n, in enumeration order."""
-    return [
-        p
-        for p in enumerate_paths(k, range(1, n + 1), max_count=max_count)
-        if is_label_minimal(p)
-    ]
+    """The label-minimal paths on the given label set, in the order of
+    enumerate_paths; the cap is checked against the path count."""
+    return [p for p in enumerate_paths(k, labels, max_count) if is_label_minimal(p)]
 
 
 def _cut(p: GoodPath, height: int) -> tuple[int, int]:
@@ -260,13 +253,16 @@ def touch_count(o: Ornament) -> int:
 def enumerate_ornaments(
     k: int, n: int, max_count: int | None = DEFAULT_MAX_ENUMERATION
 ) -> list[Ornament]:
-    """All ornaments on labels 1..n, each exactly once, in a fixed order.
+    """All ornaments on labels 1..n, each exactly once, as their
+    label-minimal representatives.
 
-    Walks every labeled path and deduplicates through the canonical
-    representative, so the cap is checked against the path count.
+    Labels are distinct, so each rotation class has exactly one
+    label-minimal member. enumerate_paths lists the step words in
+    lexicographic order (R < U) and, within each word, the label tuples
+    in lexicographic order, so the ornaments come out sorted by
+    (rep.steps, rep.labels). The cap is checked against the path count.
     """
-    found = {to_ornament(p) for p in enumerate_paths(k, range(1, n + 1), max_count)}
-    return sorted(found, key=lambda o: (o.rep.steps, o.rep.labels))
+    return [Ornament(p) for p in enumerate_minimal_paths(k, range(1, n + 1), max_count)]
 
 
 def _set_partitions(items: list[int], blocks: int):
@@ -302,10 +298,7 @@ def enumerate_fields(
     check_cap(int(predicted), max_count, "minimal fields")
     out = []
     for partition in _set_partitions(list(range(1, n + 1)), parts):
-        pools = [
-            [p for p in enumerate_paths(k, block, max_count) if is_label_minimal(p)]
-            for block in partition
-        ]
+        pools = [enumerate_minimal_paths(k, block, max_count) for block in partition]
         for combo in itertools.product(*pools):
             out.append(MinimalField(frozenset(combo)))
     return sorted(

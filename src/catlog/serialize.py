@@ -34,7 +34,13 @@ def _int_list(values, field: str) -> tuple[int, ...]:
 def _keyed(obj, field: str) -> dict:
     if not isinstance(obj, dict):
         raise ValueError(f"{field} must be an object keyed by vertex")
-    return {_as_int(key): value for key, value in obj.items()}
+    out = {}
+    for key, value in obj.items():
+        v = _as_int(key)
+        if v in out:
+            raise ValueError(f"{field} names vertex {v} twice")
+        out[v] = value
+    return out
 
 
 def _slots_from_obj(obj) -> dict:
@@ -53,6 +59,8 @@ def _parts(values, kind: str, cls) -> frozenset:
     parts = frozenset(from_obj(p) for p in values)
     if any(type(p) is not cls for p in parts):
         raise ValueError(f"every part must be a {kind} object")
+    if len(parts) != len(values):
+        raise ValueError("parts lists one part twice")
     return parts
 
 
@@ -143,5 +151,16 @@ def dumps(x) -> str:
     return json.dumps(to_obj(x), separators=(",", ":"))
 
 
+def _unique_keys(pairs) -> dict:
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"a JSON object repeats the key {key!r}")
+        out[key] = value
+    return out
+
+
 def loads(text: str):
-    return from_obj(json.loads(text))
+    """Parse and rebuild one structure; a JSON object that repeats a key
+    is rejected instead of keeping its last value."""
+    return from_obj(json.loads(text, object_pairs_hook=_unique_keys))

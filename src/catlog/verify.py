@@ -127,8 +127,8 @@ def _grid_fields(k: int, n: int, a: int, max_count):
 @lru_cache(maxsize=32)
 def _grid_structures(k: int, n: int, max_count):
     all_paths = tuple(paths.enumerate_paths(k, range(1, n + 1), max_count))
-    minimal = tuple(p for p in all_paths if paths.is_label_minimal(p))
     ornaments = tuple(paths.enumerate_ornaments(k, n, max_count))
+    minimal = tuple(o.rep for o in ornaments)
     all_trees = tuple(trees.enumerate_trees(k, range(1, n + 1), max_count))
     min_trees = tuple(t for t in all_trees if trees.is_root_minimal(t))
     cycle_trees = tuple(trees.enumerate_cycle_rooted(k, n, max_count))

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -89,6 +90,15 @@ class TestCoeff:
         assert code == 0
 
 
+ENUMERATED = ("paths", "minimal-paths", "ornaments", "trees", "minimal-trees",
+              "cycle-trees", "multisets", "rooted-multisets")
+
+# sha256 of the stdout of `catlog enumerate --structure S --k K --n N`, one
+# run after another for (K, N) = (2,4), (3,3), (4,2) and S in ENUMERATED;
+# a change that moves these bytes must say why and update the pin
+PINNED_ENUMERATE = "2590de9f5df56626575f12446a6030d6d8825fd4c16b88bf1570381968d1f1a5"
+
+
 class TestEnumerate:
     def test_ornament_stream(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--structure", "ornaments",
@@ -120,6 +130,16 @@ class TestEnumerate:
         _, second, _ = run(capsys, *args)
         assert first == second
 
+    def test_pinned_bytes(self, capsys):
+        digest = hashlib.sha256()
+        for k, n in ((2, 4), (3, 3), (4, 2)):
+            for structure in ENUMERATED:
+                code, out, _ = run(capsys, "enumerate", "--structure", structure,
+                                   "--k", str(k), "--n", str(n))
+                assert code == 0
+                digest.update(out.encode("utf-8"))
+        assert digest.hexdigest() == PINNED_ENUMERATE
+
     def test_cap_exit(self, capsys):
         code, _, err = run(capsys, "enumerate", "--structure", "paths",
                            "--k", "2", "--n", "12")
@@ -127,9 +147,7 @@ class TestEnumerate:
         assert "cap" in err
 
     def test_every_structure_runs(self, capsys):
-        for structure in ("paths", "minimal-paths", "ornaments", "trees",
-                          "minimal-trees", "cycle-trees", "multisets",
-                          "rooted-multisets"):
+        for structure in ENUMERATED:
             code, out, _ = run(capsys, "enumerate", "--structure", structure,
                                "--k", "2", "--n", "2")
             assert code == 0
@@ -287,6 +305,10 @@ class TestRender:
         assert code == 2
 
 
+SINGLE_PATH = '{"kind":"path","k":2,"steps":"RU","labels":[1]}'
+SINGLE_TREE = '{"kind":"tree","k":2,"root":1,"slots":{"1":[null,null]}}'
+
+
 class TestShapeErrors:
     @pytest.mark.parametrize("text, field", [
         ('{"kind":"multiset","k":2,"cycle":[1],"f":[1]}', "f"),
@@ -295,6 +317,21 @@ class TestShapeErrors:
         ('{"kind":"multiset","k":2,"cycle":[1],"f":{"1":1}}', "f"),
         ('{"kind":"forest","parts":[{"kind":"path","k":2,"steps":"RU","labels":[1]}]}',
          "part"),
+        # one vertex named twice: keys that read as the same integer
+        ('{"kind":"tree","k":2,"root":1,"slots":{"1":[null,null],"01":[null,null]}}',
+         "slots names vertex 1"),
+        ('{"kind":"cycle-tree","k":2,"cycle":[1],'
+         '"slots":{"1":[null,null]," 1":[null,null]}}', "slots names vertex 1"),
+        ('{"kind":"multiset","k":2,"cycle":[10],"f":{"10":[1],"1_0":[1]}}',
+         "f names vertex 10"),
+        # a literal repeated key, which json.loads alone would drop
+        ('{"kind":"tree","k":2,"root":1,"slots":{"1":[null,null],"1":[null,null]}}',
+         "repeats the key '1'"),
+        ('{"kind":"path","k":2,"steps":"RU","labels":[1],"kind":"tree"}',
+         "repeats the key 'kind'"),
+        # a field or forest that lists one part twice
+        ('{"kind":"field","parts":[%s,%s]}' % ((SINGLE_PATH,) * 2), "parts lists one part"),
+        ('{"kind":"forest","parts":[%s,%s]}' % ((SINGLE_TREE,) * 2), "parts lists one part"),
     ])
     @pytest.mark.parametrize("argv", [("map", "--target", "ornament"), ("render",)])
     def test_exit_2_naming_the_field(self, capsys, monkeypatch, text, field, argv):

@@ -218,7 +218,21 @@ class TestOrnaments:
     def test_counts_on_grid(self):
         for k, n in GRID:
             assert len(enumerate_ornaments(k, n)) == count_ornaments(k, n)
-            assert len(enumerate_minimal_paths(k, n)) == count_ornaments(k, n)
+            assert len(enumerate_minimal_paths(k, range(1, n + 1))) == count_ornaments(k, n)
+
+    @pytest.mark.parametrize("k, n", GRID)
+    def test_matches_rotation_class_oracle(self, k, n):
+        # reference: rotate every path to its class, deduplicate, sort
+        found = {to_ornament(p) for p in enumerate_paths(k, range(1, n + 1))}
+        oracle = sorted(found, key=lambda o: (o.rep.steps, o.rep.labels))
+        assert enumerate_ornaments(k, n) == oracle
+
+    def test_cap_counts_paths(self):
+        with pytest.raises(ResourceCapError) as via_paths:
+            enumerate_paths(2, range(1, 10), max_count=10)
+        with pytest.raises(ResourceCapError) as via_ornaments:
+            enumerate_ornaments(2, 9, max_count=10)
+        assert str(via_ornaments.value) == str(via_paths.value)
 
     def test_class_size_statistics(self):
         for k, n in GRID:
