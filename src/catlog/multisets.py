@@ -19,8 +19,7 @@ which is what ties the path picture to the tree picture.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from . import catalan
 from .errors import DEFAULT_MAX_ENUMERATION, check_cap
@@ -33,56 +32,63 @@ Segment = tuple[Node, ...]
 
 @dataclass(frozen=True)
 class CyclicMultiset:
+    """`f` holds (label, vector) pairs by increasing label; `f_map` as a dict."""
+
     k: int
     cycle: tuple[int, ...]
     f: tuple[tuple[int, tuple[int, ...]], ...]
+    f_map: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 2:
             raise ValueError("multisets need k >= 2")
         object.__setattr__(self, "cycle", _check_cycle(self.cycle))
-        items = self.f.items() if isinstance(self.f, dict) else self.f
-        rows = sorted((int(v), tuple(int(x) for x in vec)) for v, vec in items)
-        object.__setattr__(self, "f", tuple(rows))
-        if {v for v, _ in self.f} != set(self.cycle):
-            raise ValueError("multiplicities must cover exactly the cycle labels")
-        for v, vec in self.f:
+        f_map = {}
+        total = 0
+        for v, vec in self.f.items() if isinstance(self.f, dict) else self.f:
+            v = int(v)
+            vec = tuple(int(x) for x in vec)
             if len(vec) != self.k - 1:
-                raise ValueError(f"multiplicity vector of {v} must have length k-1")
+                raise ValueError(
+                    f"multiplicity vector of {v} must have length k-1 = {self.k - 1}"
+                )
             if any(x < 0 for x in vec):
                 raise ValueError("multiplicities must be nonnegative")
-        total = sum(x for _, vec in self.f for x in vec)
-        if total != len(self.cycle):
+            if v in f_map:
+                raise ValueError(f"f names vertex {v} twice")
+            f_map[v] = vec
+            total += sum(vec)
+        if f_map.keys() != set(self.cycle):
+            raise ValueError("multiplicities must cover exactly the cycle labels")
+        if total != self.n:
             raise ValueError(
-                f"multiplicities sum to {total}, must equal the label count "
-                f"{len(self.cycle)}"
+                f"multiplicities sum to {total}, must equal the label count {self.n}"
             )
-
-    @cached_property
-    def f_map(self) -> dict[int, tuple[int, ...]]:
-        return dict(self.f)
-
-    @cached_property
-    def successor(self) -> dict[int, int]:
-        return dict(zip(self.cycle, self.cycle[1:] + self.cycle[:1]))
+        f_map = dict(sorted(f_map.items()))
+        object.__setattr__(self, "f_map", f_map)
+        object.__setattr__(self, "f", tuple(f_map.items()))
 
     @property
     def n(self) -> int:
         return len(self.cycle)
 
 
+def _rotated(cycle: tuple[int, ...], v: int) -> tuple[int, ...]:
+    """The cycle rotated to start at label v."""
+    i = cycle.index(v)
+    return cycle[i:] + cycle[:i]
+
+
 def _node_walk(m: CyclicMultiset, start: int):
     """The n*(k-1) nodes of the cycle graph in forward order from (start, 1)."""
-    v = start
-    for _ in range(m.n):
+    for v in _rotated(m.cycle, start):
         for q in range(1, m.k):
             yield (v, q)
-        v = m.successor[v]
 
 
 def segments_from(m: CyclicMultiset, label: int) -> list[Segment]:
     """All forward segments starting at (label, 1), one per end node."""
-    if label not in m.successor:
+    if label not in m.f_map:
         raise ValueError(f"label {label} is not on the cycle")
     nodes = list(_node_walk(m, label))
     return [tuple(nodes[:t]) for t in range(1, len(nodes) + 1)]
@@ -188,8 +194,7 @@ def _least_root_order(m: CyclicMultiset, what: str) -> tuple[tuple[int, ...], se
     roots = root_vertices(m)
     if not roots:
         raise ValueError(f"multiset has no root vertices, so it encodes no {what}")
-    i = m.cycle.index(min(roots))
-    return m.cycle[i:] + m.cycle[:i], roots
+    return _rotated(m.cycle, min(roots)), roots
 
 
 def multiset_to_ornament(m: CyclicMultiset) -> Ornament:
@@ -230,8 +235,7 @@ def cycle_tree_to_multiset(
         raise ValueError("exploration must start at a cycle vertex")
     order: list[int] = []
     parent_slot = {}
-    i = c.cycle.index(start_root)
-    for r in c.cycle[i:] + c.cycle[:i]:
+    for r in _rotated(c.cycle, start_root):
         order.append(r)
         for _, q, v in slot_walk(c.slot_map, r):
             if v is not None:

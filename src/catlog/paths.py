@@ -55,7 +55,8 @@ class GoodPath:
             raise ValueError("a path carries at least one label")
         if len(set(self.labels)) != n or any(v < 1 for v in self.labels):
             raise ValueError("labels must be distinct positive integers")
-        if not is_good(self.k, self.steps) or self.steps.count("R") != n:
+        # a good word with r right steps has length k*r
+        if not is_good(self.k, self.steps) or len(self.steps) != self.k * n:
             raise ValueError(
                 "steps must form a good word with one right step per label"
             )
@@ -72,13 +73,15 @@ class MinimalField:
     parts: frozenset[GoodPath]
 
     def __post_init__(self):
-        object.__setattr__(self, "parts", frozenset(self.parts))
-        if not self.parts:
+        if len(parts := frozenset(self.parts)) != len(self.parts):
+            raise ValueError("parts lists one part twice")
+        object.__setattr__(self, "parts", parts)
+        if not parts:
             raise ValueError("a field holds at least one part")
-        if len({p.k for p in self.parts}) != 1:
+        if len({p.k for p in parts}) != 1:
             raise ValueError("all parts of a field must share the same k")
         seen: set[int] = set()
-        for part in self.parts:
+        for part in parts:
             if not is_label_minimal(part):
                 raise ValueError("every part of a field must be label-minimal")
             if seen & set(part.labels):

@@ -31,36 +31,27 @@ def _int_list(values, field: str) -> tuple[int, ...]:
     return tuple(_as_int(v) for v in values)
 
 
-def _keyed(obj, field: str) -> dict:
+def _keyed(obj, field: str) -> list:
+    """(vertex, value) pairs; the constructors reject a vertex named twice."""
     if not isinstance(obj, dict):
         raise ValueError(f"{field} must be an object keyed by vertex")
-    out = {}
-    for key, value in obj.items():
-        v = _as_int(key)
-        if v in out:
-            raise ValueError(f"{field} names vertex {v} twice")
-        out[v] = value
-    return out
+    return [(_as_int(key), value) for key, value in obj.items()]
 
 
-def _slots_from_obj(obj) -> dict:
-    out = {}
-    for v, row in _keyed(obj, "slots").items():
-        if not isinstance(row, list):
-            raise ValueError("each slot array must be a list")
-        out[v] = tuple(None if c is None else _as_int(c) for c in row)
-    return out
+def _slots_from_obj(obj) -> list:
+    rows = _keyed(obj, "slots")
+    if not all(isinstance(row, list) for _, row in rows):
+        raise ValueError("each slot array must be a list")
+    return [(v, tuple(None if c is None else _as_int(c) for c in row)) for v, row in rows]
 
 
-def _parts(values, kind: str, cls) -> frozenset:
+def _parts(values, kind: str, cls) -> list:
     """The parts of a field or forest; each must be a `kind` object."""
     if not isinstance(values, list):
         raise ValueError("parts must be a list")
-    parts = frozenset(from_obj(p) for p in values)
+    parts = [from_obj(p) for p in values]
     if any(type(p) is not cls for p in parts):
         raise ValueError(f"every part must be a {kind} object")
-    if len(parts) != len(values):
-        raise ValueError("parts lists one part twice")
     return parts
 
 
@@ -136,10 +127,10 @@ def from_obj(obj):
             return CyclicMultiset(
                 _as_int(obj["k"]),
                 _int_list(obj["cycle"], "cycle"),
-                {
-                    v: _int_list(vec, "each vector of f")
-                    for v, vec in _keyed(obj["f"], "f").items()
-                },
+                [
+                    (v, _int_list(vec, "each vector of f"))
+                    for v, vec in _keyed(obj["f"], "f")
+                ],
             )
     except KeyError as exc:
         raise ValueError(f"{kind} object is missing field {exc}") from exc

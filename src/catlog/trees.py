@@ -10,13 +10,13 @@ and bending it into a cycle yields a cycle-rooted tree.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from . import catalan
 from .errors import DEFAULT_MAX_ENUMERATION, check_cap
 
 Slots = tuple[tuple[int, tuple[int | None, ...]], ...]
+Table = dict[int, tuple[int | None, ...]]
 
 
 def canonical_cycle(seq) -> tuple[int, ...]:
@@ -26,18 +26,6 @@ def canonical_cycle(seq) -> tuple[int, ...]:
         raise ValueError("empty cycle")
     i = seq.index(min(seq))
     return seq[i:] + seq[:i]
-
-
-def _normalize_slots(k: int, slots) -> Slots:
-    rows = []
-    items = slots.items() if isinstance(slots, dict) else slots
-    for v, row in items:
-        row = tuple(row)
-        if len(row) != k:
-            raise ValueError(f"slot array of vertex {v} must have length {k}")
-        rows.append((int(v), row))
-    rows.sort()
-    return tuple(rows)
 
 
 def _slots_key(slots: Slots):
@@ -70,7 +58,7 @@ def slot_walk(slot_map, root: int):
             stack.pop()
 
 
-def _relink(k: int, slots, links) -> dict[int, tuple[int | None, ...]]:
+def _relink(k: int, slots, links) -> Table:
     """The slot table with the rightmost slot of each vertex v in `links`
     set to links[v], an occupant or None."""
     table = dict(slots)
@@ -79,45 +67,56 @@ def _relink(k: int, slots, links) -> dict[int, tuple[int | None, ...]]:
     return table
 
 
-def _check_forest(k: int, roots, slots: Slots) -> None:
-    """Shared shape validation: `slots` must describe a k-ary forest whose
-    roots are exactly `roots`."""
-    verts = [v for v, _ in slots]
-    vs = set(verts)
-    if len(vs) != len(verts):
-        raise ValueError("duplicate vertex in the slot table")
-    if any(v < 1 for v in vs):
-        raise ValueError("vertices must be positive integers")
-    if not set(roots) <= vs:
-        raise ValueError("a root is missing from the slot table")
-    occupants = [c for _, row in slots for c in row if c is not None]
-    if len(set(occupants)) != len(occupants):
-        raise ValueError("a vertex occupies two slots")
-    if set(occupants) != vs - set(roots):
-        raise ValueError("slot occupants must be exactly the non-root vertices")
-    # every non-root now has one parent, so the walks below terminate
-    table = dict(slots)
-    seen = set(roots)
+def _slot_table(k: int, roots: tuple[int, ...], slots) -> Table:
+    """Read `slots` (a dict or (vertex, row) pairs) in one loop, then walk
+    from `roots` meeting each occupant once: a k-ary forest with exactly
+    these roots passes, and comes back sorted by vertex."""
+    table = {}
+    for v, row in slots.items() if isinstance(slots, dict) else slots:
+        row = tuple(row)
+        if len(row) != k:
+            raise ValueError(f"slot array of vertex {v} must have length {k}")
+        v = int(v)
+        if v < 1:
+            raise ValueError("vertices must be positive integers")
+        if v in table:
+            raise ValueError(f"slots names vertex {v} twice")
+        table[v] = row
     for r in roots:
-        seen.update(c for _, _, c in slot_walk(table, r) if c is not None)
-    if seen != vs:
-        raise ValueError("not every vertex hangs below a root")
+        if r not in table:
+            raise ValueError(f"root {r} is missing from the slot table")
+    seen = set(roots)
+    stack = list(roots)
+    while stack:
+        for c in table[stack.pop()]:
+            if c is None:
+                continue
+            if c in seen:
+                raise ValueError(f"root {c} sits in a slot" if c in roots
+                                 else f"vertex {c} occupies two slots")
+            if c not in table:
+                raise ValueError(f"vertex {c} sits in a slot but has no slot array")
+            seen.add(c)
+            stack.append(c)
+    if len(seen) != len(table):
+        raise ValueError(f"vertex {min(table.keys() - seen)} hangs below no root")
+    return dict(sorted(table.items()))
 
 
+@dataclass(frozen=True)
 class _SlotTable:
-    """Slot-table accessors shared by the tree structures."""
+    """The checked slot table of a tree structure, by increasing vertex;
+    its `slots` field holds the same rows as (vertex, row) pairs."""
 
-    @cached_property
-    def slot_map(self) -> dict[int, tuple[int | None, ...]]:
-        return dict(self.slots)
+    slot_map: Table = field(init=False, repr=False, compare=False)
 
-    @property
-    def vertices(self) -> frozenset[int]:
-        return frozenset(v for v, _ in self.slots)
+    def _keep(self, slot_map: Table) -> None:
+        object.__setattr__(self, "slot_map", slot_map)
+        object.__setattr__(self, "slots", tuple(slot_map.items()))
 
     @property
     def n(self) -> int:
-        return len(self.slots)
+        return len(self.slot_map)
 
 
 @dataclass(frozen=True)
@@ -129,8 +128,7 @@ class PlaneTree(_SlotTable):
     def __post_init__(self):
         if self.k < 2:
             raise ValueError("trees need k >= 2")
-        object.__setattr__(self, "slots", _normalize_slots(self.k, self.slots))
-        _check_forest(self.k, [self.root], self.slots)
+        self._keep(_slot_table(self.k, (self.root,), self.slots))
 
 
 @dataclass(frozen=True)
@@ -138,18 +136,20 @@ class RootMinimalForest:
     parts: frozenset[PlaneTree]
 
     def __post_init__(self):
-        object.__setattr__(self, "parts", frozenset(self.parts))
-        if not self.parts:
+        if len(parts := frozenset(self.parts)) != len(self.parts):
+            raise ValueError("parts lists one part twice")
+        object.__setattr__(self, "parts", parts)
+        if not parts:
             raise ValueError("a forest holds at least one tree")
-        if len({t.k for t in self.parts}) != 1:
+        if len({t.k for t in parts}) != 1:
             raise ValueError("all trees of a forest must share the same k")
         seen: set[int] = set()
-        for t in self.parts:
+        for t in parts:
             if not is_root_minimal(t):
                 raise ValueError("every tree of the forest must be root-minimal")
-            if seen & t.vertices:
+            if not seen.isdisjoint(t.slot_map):
                 raise ValueError("vertex sets of forest trees must be disjoint")
-            seen.update(t.vertices)
+            seen.update(t.slot_map)
 
     @property
     def k(self) -> int:
@@ -173,8 +173,7 @@ class CycleRootedTree(_SlotTable):
         if self.k < 2:
             raise ValueError("trees need k >= 2")
         object.__setattr__(self, "cycle", _check_cycle(self.cycle))
-        object.__setattr__(self, "slots", _normalize_slots(self.k, self.slots))
-        _check_forest(self.k, self.cycle, self.slots)
+        self._keep(_slot_table(self.k, self.cycle, self.slots))
         for r in self.cycle:
             if self.slot_map[r][self.k - 1] is not None:
                 raise ValueError("the rightmost slot of a cycle vertex must stay vacant")
@@ -216,7 +215,7 @@ def _slot_tables(k: int, verts: tuple[int, ...], root: int, open_slots: tuple[in
             options.append(opts)
         for combo in itertools.product(*options):
             row: list[int | None] = [None] * k
-            table: dict[int, tuple[int | None, ...]] = {}
+            table: Table = {}
             for q, child, sub in combo:
                 row[q] = child
                 table.update(sub)
@@ -252,7 +251,7 @@ def tree_to_forest(t: PlaneTree) -> RootMinimalForest:
         if nxt < roots[-1]:
             cuts[cur] = None
             roots.append(nxt)
-    table = _relink(t.k, t.slots, cuts)
+    table = _relink(t.k, t.slot_map, cuts)
     parts = []
     for r in roots:
         below = [c for _, _, c in slot_walk(table, r) if c is not None]
@@ -275,14 +274,14 @@ def to_cycle_rooted(t: PlaneTree) -> CycleRootedTree:
     if not is_root_minimal(t):
         raise ValueError("only a root-minimal tree bends into a cycle")
     branch = tuple(rightmost_branch(t))
-    return CycleRootedTree(t.k, branch, _relink(t.k, t.slots, dict.fromkeys(branch)))
+    return CycleRootedTree(t.k, branch, _relink(t.k, t.slot_map, dict.fromkeys(branch)))
 
 
 def to_root_minimal(c: CycleRootedTree) -> PlaneTree:
     """Open the root cycle before its minimal vertex; the cycle becomes the
     rightmost branch of a root-minimal tree."""
     links = dict(zip(c.cycle, c.cycle[1:]))
-    return PlaneTree(c.k, c.cycle[0], _relink(c.k, c.slots, links))
+    return PlaneTree(c.k, c.cycle[0], _relink(c.k, c.slot_map, links))
 
 
 def enumerate_cycle_rooted(
@@ -313,7 +312,7 @@ def enumerate_cycle_rooted(
                         for r in cycle
                     ]
                     for combo in itertools.product(*per_root):
-                        table: dict[int, tuple[int | None, ...]] = {}
+                        table: Table = {}
                         for sub in combo:
                             table.update(sub)
                         out.append(CycleRootedTree(k, cycle, table))

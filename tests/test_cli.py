@@ -332,6 +332,19 @@ class TestShapeErrors:
         # a field or forest that lists one part twice
         ('{"kind":"field","parts":[%s,%s]}' % ((SINGLE_PATH,) * 2), "parts lists one part"),
         ('{"kind":"forest","parts":[%s,%s]}' % ((SINGLE_TREE,) * 2), "parts lists one part"),
+        # well-formed JSON that breaks a structure invariant
+        ('{"kind":"tree","k":2,"root":1,"slots":{"1":[2,null]}}',
+         "vertex 2 sits in a slot but has no slot array"),
+        ('{"kind":"tree","k":2,"root":1,'
+         '"slots":{"1":[null,null],"2":[3,null],"3":[2,null]}}',
+         "vertex 2 hangs below no root"),
+        ('{"kind":"tree","k":2,"root":1,"slots":{"1":[null,1]}}', "root 1 sits in a slot"),
+        ('{"kind":"cycle-tree","k":2,"cycle":[1,2],'
+         '"slots":{"1":[2,null],"2":[null,null]}}', "root 2 sits in a slot"),
+        ('{"kind":"multiset","k":3,"cycle":[1],"f":{"1":[1]}}',
+         "multiplicity vector of 1 must have length k-1 = 2"),
+        ('{"kind":"multiset","k":2,"cycle":[1,2],"f":{"1":[1],"2":[2]}}',
+         "multiplicities sum to 3, must equal the label count 2"),
     ])
     @pytest.mark.parametrize("argv", [("map", "--target", "ornament"), ("render",)])
     def test_exit_2_naming_the_field(self, capsys, monkeypatch, text, field, argv):

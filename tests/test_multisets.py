@@ -78,6 +78,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ms(2, (1, 2), {1: (3,), 2: (-1,)})
 
+    def test_label_named_twice_in_pair_form(self):
+        # the total and the label set both look right; only the repeat is wrong
+        with pytest.raises(ValueError, match="f names vertex 1 twice"):
+            ms(2, (1, 2), ((1, (1,)), (1, (0,)), (2, (1,))))
+
 
 class TestSegments:
     def test_size_one(self):

@@ -61,6 +61,8 @@ class TestGoodPath:
     def test_label_count_must_match(self):
         with pytest.raises(ValueError):
             GoodPath(2, "RURU", (1, 2, 3))
+        with pytest.raises(ValueError):
+            GoodPath(3, "RUURUU", (1,))
 
 
 class TestDiagonalTouches:
@@ -166,6 +168,11 @@ class TestRecompose:
                 GoodPath(2, "RU", (1,)),
                 GoodPath(2, "RRUU", (1, 2)),
             }))
+
+    def test_part_listed_twice_rejected(self):
+        part = GoodPath(2, "RU", (1,))
+        with pytest.raises(ValueError, match="parts lists one part twice"):
+            MinimalField([part, part])
 
     def test_non_minimal_part_rejected(self):
         with pytest.raises(ValueError):

@@ -35,16 +35,36 @@ class TestValidation:
             tree(2, 1, {1: (None,)})
 
     def test_child_in_two_slots(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="vertex 2 occupies two slots"):
             tree(2, 1, {1: (2, 2), 2: leaf_row(2)})
 
     def test_root_cannot_be_a_child(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="root 1 sits in a slot"):
             tree(2, 1, {1: (2, 1), 2: leaf_row(2)})
+        with pytest.raises(ValueError, match="root 2 sits in a slot"):
+            CycleRootedTree(2, (1, 2), {1: (2, None), 2: leaf_row(2)})
 
     def test_unreachable_vertices(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="vertex 2 hangs below no root"):
             tree(2, 1, {1: leaf_row(2), 2: (3, None), 3: (2, None)})
+
+    def test_occupant_without_slot_array(self):
+        with pytest.raises(ValueError, match="vertex 2 sits in a slot"):
+            tree(2, 1, {1: (2, None)})
+
+    def test_root_missing(self):
+        with pytest.raises(ValueError, match="root 1 is missing"):
+            tree(2, 1, {2: leaf_row(2)})
+
+    def test_vertex_named_twice_in_pair_form(self):
+        rows = ((1, (2, None)), (2, leaf_row(2)), (2, leaf_row(2)))
+        with pytest.raises(ValueError, match="slots names vertex 2 twice"):
+            tree(2, 1, rows)
+        with pytest.raises(ValueError, match="slots names vertex 2 twice"):
+            CycleRootedTree(2, (1,), rows)
+        # rows that cannot be ordered against each other (None against 2)
+        with pytest.raises(ValueError, match="slots names vertex 1 twice"):
+            tree(2, 1, ((1, (None, 2)), (1, (2, None)), (2, leaf_row(2))))
 
     def test_cycle_tree_needs_vacant_rightmost(self):
         with pytest.raises(ValueError):
@@ -159,6 +179,11 @@ class TestForestBijection:
     def test_parts_are_root_minimal(self):
         for t in enumerate_trees(2, range(1, 5)):
             assert all(is_root_minimal(part) for part in tree_to_forest(t).parts)
+
+    def test_forest_lists_one_part_twice(self):
+        part = tree(2, 1, {1: leaf_row(2)})
+        with pytest.raises(ValueError, match="parts lists one part twice"):
+            RootMinimalForest([part, part])
 
     def test_forest_validation(self):
         with pytest.raises(ValueError):
