@@ -190,8 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.set_defaults(func=cmd_enumerate)
 
     v = sub.add_parser("verify", help="run an identity suite")
-    v.add_argument("--suite", choices=("series", "counts", "bijections",
-                                       "statistics", "all"), required=True)
+    v.add_argument("--suite", choices=verify.SUITES + ("all",), required=True)
     v.add_argument("--k", default="2,3", help="comma list of k values")
     v.add_argument("--max-n", type=int, default=4)
     v.add_argument("--format", choices=("text", "json"), default="text")

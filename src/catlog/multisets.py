@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from . import catalan
 from .errors import DEFAULT_MAX_ENUMERATION, check_cap
 from .paths import GoodPath, Ornament
-from .trees import CycleRootedTree, _check_cycle, canonical_cycle, slot_walk
+from .trees import CycleRootedTree, _check_cycle, _rotated, canonical_cycle, slot_walk
 
 Node = tuple[int, int]
 Segment = tuple[Node, ...]
@@ -71,12 +71,6 @@ class CyclicMultiset:
     @property
     def n(self) -> int:
         return len(self.cycle)
-
-
-def _rotated(cycle: tuple[int, ...], v: int) -> tuple[int, ...]:
-    """The cycle rotated to start at label v."""
-    i = cycle.index(v)
-    return cycle[i:] + cycle[:i]
 
 
 def _node_walk(m: CyclicMultiset, start: int):

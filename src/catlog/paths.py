@@ -53,7 +53,9 @@ class GoodPath:
         n = len(self.labels)
         if n < 1:
             raise ValueError("a path carries at least one label")
-        if len(set(self.labels)) != n or any(v < 1 for v in self.labels):
+        if len(set(self.labels)) != n or any(
+            type(v) is not int or v < 1 for v in self.labels
+        ):
             raise ValueError("labels must be distinct positive integers")
         # a good word with r right steps has length k*r
         if not is_good(self.k, self.steps) or len(self.steps) != self.k * n:

@@ -19,13 +19,18 @@ Slots = tuple[tuple[int, tuple[int | None, ...]], ...]
 Table = dict[int, tuple[int | None, ...]]
 
 
+def _rotated(cycle: tuple[int, ...], v: int) -> tuple[int, ...]:
+    """The cycle rotated to start at label v."""
+    i = cycle.index(v)
+    return cycle[i:] + cycle[:i]
+
+
 def canonical_cycle(seq) -> tuple[int, ...]:
     """Rotate a cyclic sequence so that its minimal element comes first."""
     seq = tuple(seq)
     if not seq:
         raise ValueError("empty cycle")
-    i = seq.index(min(seq))
-    return seq[i:] + seq[:i]
+    return _rotated(seq, min(seq))
 
 
 def _slots_key(slots: Slots):
@@ -34,10 +39,13 @@ def _slots_key(slots: Slots):
 
 
 def _check_cycle(cycle) -> tuple[int, ...]:
-    """A root cycle as stored: nonempty, distinct labels, minimal label first."""
+    """A root cycle as stored: nonempty, distinct positive integer labels,
+    minimal label first."""
     cycle = tuple(cycle)
     if not cycle or len(set(cycle)) != len(cycle):
         raise ValueError("the cycle must be a nonempty list of distinct labels")
+    if any(type(v) is not int or v < 1 for v in cycle):
+        raise ValueError("cycle labels must be positive integers")
     if cycle[0] != min(cycle):
         raise ValueError("the cycle must be stored starting at its minimal label")
     return cycle

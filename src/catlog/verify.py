@@ -68,6 +68,10 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+# the suites in report order; "all" runs every one of them
+SUITES = ("series", "counts", "bijections", "statistics")
+
+
 def _check(name, k, n, passed, message="") -> CheckResult:
     return CheckResult(name, k, n, bool(passed), message)
 
@@ -119,11 +123,6 @@ def suite_series(ks, max_n: int) -> list[CheckResult]:
     return out
 
 
-@lru_cache(maxsize=128)
-def _grid_fields(k: int, n: int, a: int, max_count):
-    return tuple(paths.enumerate_fields(k, n, a, max_count))
-
-
 @lru_cache(maxsize=32)
 def _grid_structures(k: int, n: int, max_count):
     all_paths = tuple(paths.enumerate_paths(k, range(1, n + 1), max_count))
@@ -135,45 +134,6 @@ def _grid_structures(k: int, n: int, max_count):
     all_ms = tuple(multisets.enumerate_multisets(k, n, False, max_count))
     rooted_ms = tuple(m for m in all_ms if multisets.root_vertices(m))
     return all_paths, minimal, ornaments, all_trees, min_trees, cycle_trees, all_ms, rooted_ms
-
-
-def suite_counts(ks, max_n: int, max_count=DEFAULT_MAX_ENUMERATION) -> list[CheckResult]:
-    """Exhaustive structure counts against the closed counting formulas."""
-    out = []
-    for k in ks:
-        for n in range(1, max_n + 1):
-            (all_paths, minimal, ornaments, all_trees, min_trees, cycle_trees,
-             all_ms, rooted_ms) = _grid_structures(k, n, max_count)
-            n_paths = catalan.count_paths(k, n)
-            n_orn = catalan.count_ornaments(k, n)
-            n_ms = catalan.count_multisets(k, n)
-            out.append(_check("path-count", k, n, len(all_paths) == n_paths,
-                              f"{n_paths} vs {len(all_paths)}"))
-            out.append(_check("tree-count", k, n, len(all_trees) == n_paths,
-                              f"{n_paths} vs {len(all_trees)}"))
-            for name, got in (
-                ("minimal-path-count", len(minimal)),
-                ("ornament-count", len(ornaments)),
-                ("minimal-tree-count", len(min_trees)),
-                ("cycle-tree-count", len(cycle_trees)),
-                ("rooted-multiset-count", len(rooted_ms)),
-            ):
-                out.append(_check(name, k, n, got == n_orn, f"{n_orn} vs {got}"))
-            out.append(_check("multiset-count", k, n, len(all_ms) == n_ms,
-                              f"{n_ms} vs {len(all_ms)}"))
-            out.append(_check("rooted-fraction", k, n,
-                              (k - 1) * len(rooted_ms) == len(all_ms),
-                              f"(k-1)*{len(rooted_ms)} vs {len(all_ms)}"))
-            total_returns = sum(catalan.returns_count(k, n, p) for p in range(1, n + 1))
-            out.append(_check("returns-partition", k, n,
-                              total_returns == catalan.gen_catalan(k, n)))
-            for a in range(1, min(n, 3) + 1):
-                fields = _grid_fields(k, n, a, max_count)
-                got = Fraction(len(fields) * factorial(a), factorial(n))
-                want = catalan.coeff_log_power(k, n, a)
-                out.append(_check(f"field-egf-{a}", k, n, got == want,
-                                  f"{want} vs {got}"))
-    return out
 
 
 def _counterexample(holds, items, *images):
@@ -204,18 +164,57 @@ def _range_check(name, k, n, images, rooted: set) -> CheckResult:
     return _check(name, k, n, got == rooted, f"{len(got)} images vs {len(rooted)} rooted")
 
 
-def _point_checks(k: int, n: int, max_count, bijections: bool, statistics: bool):
-    """The bijections and the statistics checks at one grid point, as two
-    lists in their suites' order; a suite not asked for gives [].
+def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResult]]:
+    """The checks of each structure suite in `suites` at one grid point,
+    as lists by suite name, each in its suite's order.
 
-    Each bijection image is computed once per structure and read by every
-    check of either suite that needs it. An image list is dropped after
-    its last reader, and a suite not asked for builds none of the images
-    only it reads."""
+    The point's structures and field counts are built once and read by
+    every asked suite. Each bijection image is computed once per
+    structure and read by every check that needs it. An image list is
+    dropped after its last reader, and a suite not asked for builds none
+    of the images only it reads."""
     (all_paths, minimal, ornaments, all_trees, min_trees, cycle_trees,
      all_ms, rooted_ms) = _grid_structures(k, n, max_count)
-    bij: list[CheckResult] = []
-    stat: list[CheckResult] = []
+    counts = "counts" in suites
+    bijections = "bijections" in suites
+    statistics = "statistics" in suites
+    cnt, bij, stat = [], [], []
+    out = {"counts": cnt, "bijections": bij, "statistics": stat}
+    # fields with a parts, for each a up to the largest one an asked suite reads
+    top = n if bijections else min(n, 3) if counts else 0
+    n_fields = [len(paths.enumerate_fields(k, n, a, max_count)) for a in range(1, top + 1)]
+
+    if counts:
+        n_paths = catalan.count_paths(k, n)
+        n_orn = catalan.count_ornaments(k, n)
+        n_ms = catalan.count_multisets(k, n)
+        cnt.append(_check("path-count", k, n, len(all_paths) == n_paths,
+                          f"{n_paths} vs {len(all_paths)}"))
+        cnt.append(_check("tree-count", k, n, len(all_trees) == n_paths,
+                          f"{n_paths} vs {len(all_trees)}"))
+        for name, got in (
+            ("minimal-path-count", len(minimal)),
+            ("ornament-count", len(ornaments)),
+            ("minimal-tree-count", len(min_trees)),
+            ("cycle-tree-count", len(cycle_trees)),
+            ("rooted-multiset-count", len(rooted_ms)),
+        ):
+            cnt.append(_check(name, k, n, got == n_orn, f"{n_orn} vs {got}"))
+        cnt.append(_check("multiset-count", k, n, len(all_ms) == n_ms,
+                          f"{n_ms} vs {len(all_ms)}"))
+        cnt.append(_check("rooted-fraction", k, n,
+                          (k - 1) * len(rooted_ms) == len(all_ms),
+                          f"(k-1)*{len(rooted_ms)} vs {len(all_ms)}"))
+        total_returns = sum(catalan.returns_count(k, n, p) for p in range(1, n + 1))
+        cnt.append(_check("returns-partition", k, n,
+                          total_returns == catalan.gen_catalan(k, n)))
+        for a in range(1, min(n, 3) + 1):
+            got = Fraction(n_fields[a - 1] * factorial(a), factorial(n))
+            want = catalan.coeff_log_power(k, n, a)
+            cnt.append(_check(f"field-egf-{a}", k, n, got == want,
+                              f"{want} vs {got}"))
+    if not (bijections or statistics):
+        return out
 
     if bijections:
         rooted = set(rooted_ms)
@@ -224,9 +223,7 @@ def _point_checks(k: int, n: int, max_count, bijections: bool, statistics: bool)
             lambda p, f: paths.recompose(f) == p, all_paths, fields)))
         n_images = len(set(fields))
         del fields
-        total_fields = sum(
-            len(_grid_fields(k, n, a, max_count)) for a in range(1, n + 1)
-        )
+        total_fields = sum(n_fields)
         bij.append(_check("path-field-bijective", k, n,
                           n_images == len(all_paths) == total_fields,
                           f"{len(all_paths)} paths, {n_images} images, "
@@ -316,42 +313,15 @@ def _point_checks(k: int, n: int, max_count, bijections: bool, statistics: bool)
         bij.append(_check_all("rotation-class-constant", k, n, _counterexample(
             lambda o: all(paths.to_ornament(q) == o for q in paths.rotations(o.rep)),
             ornaments)))
-    return bij, stat
-
-
-def _structure_suites(ks, max_n: int, max_count, bijections: bool, statistics: bool):
-    """Walk the grid once; return the bijections and the statistics results."""
-    bij: list[CheckResult] = []
-    stat: list[CheckResult] = []
-    for k in ks:
-        for n in range(1, max_n + 1):
-            b, s = _point_checks(k, n, max_count, bijections, statistics)
-            bij += b
-            stat += s
-    return bij, stat
-
-
-def suite_bijections(ks, max_n: int, max_count=DEFAULT_MAX_ENUMERATION) -> list[CheckResult]:
-    """Roundtrips and range identities for every structure correspondence."""
-    return _structure_suites(ks, max_n, max_count, True, False)[0]
-
-
-def suite_statistics(ks, max_n: int, max_count=DEFAULT_MAX_ENUMERATION) -> list[CheckResult]:
-    """Distribution identities: touches, cycle lengths, and root vertices."""
-    return _structure_suites(ks, max_n, max_count, False, True)[1]
-
-
-SUITES = {
-    "series": suite_series,
-    "counts": suite_counts,
-    "bijections": suite_bijections,
-    "statistics": suite_statistics,
-}
+    return out
 
 
 def run_suite(
     suite: str, ks, max_n: int, max_count=DEFAULT_MAX_ENUMERATION
 ) -> VerificationReport:
+    """Run one suite, or every suite for "all": the series suite first,
+    then each structure suite's checks from one walk of the (k >= 2, n)
+    grid; the report lists the results suite by suite in SUITES order."""
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
     if max_n < 1:
@@ -361,15 +331,13 @@ def run_suite(
         raise ValueError("k values must be >= 1")
     if suite not in ("series", "all") and any(k < 2 for k in ks):
         raise ValueError(f"suite {suite!r} works on structures and needs k >= 2")
-    if suite == "all":
-        results: list[CheckResult] = []
-        results += suite_series(ks, max_n)
-        structural = [k for k in ks if k >= 2]
-        if structural:
-            results += suite_counts(structural, max_n, max_count)
-            bij, stat = _structure_suites(structural, max_n, max_count, True, True)
-            results += bij + stat
-        return VerificationReport("all", tuple(results))
-    if suite == "series":
-        return VerificationReport(suite, tuple(suite_series(ks, max_n)))
-    return VerificationReport(suite, tuple(SUITES[suite](ks, max_n, max_count)))
+    asked = SUITES if suite == "all" else (suite,)
+    results: dict[str, list[CheckResult]] = {s: [] for s in SUITES}
+    if "series" in asked:
+        results["series"] = suite_series(ks, max_n)
+    structural = set(asked) - {"series"}
+    grid = [(k, n) for k in ks if k >= 2 for n in range(1, max_n + 1)] if structural else []
+    for k, n in grid:
+        for s, got in _point_checks(k, n, max_count, structural).items():
+            results[s] += got
+    return VerificationReport(suite, tuple(r for s in SUITES for r in results[s]))

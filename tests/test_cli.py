@@ -345,8 +345,11 @@ class TestShapeErrors:
          "multiplicity vector of 1 must have length k-1 = 2"),
         ('{"kind":"multiset","k":2,"cycle":[1,2],"f":{"1":[1],"2":[2]}}',
          "multiplicities sum to 3, must equal the label count 2"),
+        ('{"kind":"multiset","k":2,"cycle":[-1,0],"f":{"0":[1],"-1":[1]}}',
+         "cycle labels must be positive integers"),
     ])
-    @pytest.mark.parametrize("argv", [("map", "--target", "ornament"), ("render",)])
+    @pytest.mark.parametrize("argv", [("map", "--target", "ornament"), ("render",),
+                                      ("map", "--target", "multiset")])
     def test_exit_2_naming_the_field(self, capsys, monkeypatch, text, field, argv):
         feed(monkeypatch, text)
         code, _, err = run(capsys, *argv)

@@ -83,6 +83,13 @@ class TestConstruction:
         with pytest.raises(ValueError, match="f names vertex 1 twice"):
             ms(2, (1, 2), ((1, (1,)), (1, (0,)), (2, (1,))))
 
+    @pytest.mark.parametrize("cycle", [(-1, 0), (0,), (True,)])
+    def test_cycle_labels_must_be_positive_ints(self, cycle):
+        # f covers the cycle and sums to n; only the labels are wrong
+        f = {v: (1,) for v in cycle}
+        with pytest.raises(ValueError, match="cycle labels must be positive integers"):
+            ms(2, cycle, f)
+
 
 class TestSegments:
     def test_size_one(self):

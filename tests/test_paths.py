@@ -54,6 +54,11 @@ class TestGoodPath:
         with pytest.raises(ValueError):
             GoodPath(2, "RURU", (0, 1))
 
+    @pytest.mark.parametrize("labels", [("1",), (1.0,), (None,)])
+    def test_non_int_labels_rejected(self, labels):
+        with pytest.raises(ValueError, match="labels must be distinct positive integers"):
+            GoodPath(2, "RU", labels)
+
     def test_bad_word_rejected(self):
         with pytest.raises(ValueError):
             GoodPath(2, "RUUR", (1, 2))

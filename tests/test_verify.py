@@ -1,14 +1,17 @@
-"""The verify layer: suite order under `all`, faults it must not hide,
-counterexamples it reports, and the pinned bytes of one report."""
+"""The verify layer: suite order under `all`, the work each suite does,
+faults it must not hide, counterexamples it reports, and the pinned bytes
+of one report."""
 
 import hashlib
 import io
 import json
+from collections import Counter
 
 import pytest
 
-from catlog import multisets, paths, serialize, trees
+from catlog import multisets, paths, serialize, trees, verify
 from catlog.cli import main
+from catlog.errors import DEFAULT_MAX_ENUMERATION
 from catlog.verify import run_suite
 
 STRUCTURE_SUITES = ("bijections", "statistics")
@@ -34,6 +37,48 @@ def test_pinned_report_bytes(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_ALL_2_3_4
+
+
+# -- each suite builds only its own images --------------------------------------
+
+BIJECTIONS = ((paths, "decompose"), (trees, "tree_to_forest"),
+              (multisets, "ornament_to_multiset"), (multisets, "cycle_tree_to_multiset"))
+
+
+def _calls(monkeypatch, targets):
+    """Count the calls of each (module, name) in `targets` by (name, its
+    positional arguments), after emptying the grid cache so that the
+    enumerations run again under the counters."""
+    verify._grid_structures.cache_clear()
+    calls = Counter()
+    for module, attr in targets:
+        def counted(*args, _real=getattr(module, attr), _attr=attr):
+            calls[_attr, *args] += 1
+            return _real(*args)
+        monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_counts_builds_no_images(monkeypatch):
+    calls = _calls(monkeypatch, BIJECTIONS)
+    run_suite("counts", [2], 4)
+    assert not calls
+
+
+def test_statistics_builds_no_bijections_only_images(monkeypatch):
+    calls = _calls(monkeypatch, BIJECTIONS[:2])
+    run_suite("statistics", [2], 4)
+    assert not calls
+
+
+@pytest.mark.parametrize("suite, top", [("all", lambda n: n), ("counts", lambda n: min(n, 3)),
+                                        ("statistics", lambda n: 0)],
+                         ids=["all", "counts", "statistics"])
+def test_fields_counted_once_up_to_the_largest_part_count_read(monkeypatch, suite, top):
+    calls = _calls(monkeypatch, [(paths, "enumerate_fields")])
+    run_suite(suite, [2], 4)
+    assert calls == {("enumerate_fields", 2, n, a, DEFAULT_MAX_ENUMERATION): 1
+                     for n in range(1, 5) for a in range(1, top(n) + 1)}
 
 
 # -- faults in the shared bijections ---------------------------------------------
