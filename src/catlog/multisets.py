@@ -22,6 +22,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import catalan
+from ._trusted import trusted
 from .errors import DEFAULT_MAX_ENUMERATION, check_cap
 from .paths import GoodPath, Ornament
 from .trees import CycleRootedTree, _check_cycle, _rotated, canonical_cycle, slot_walk
@@ -40,20 +41,21 @@ class CyclicMultiset:
     f_map: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.k < 2:
-            raise ValueError("multisets need k >= 2")
+        if type(self.k) is not int or self.k < 2:
+            raise ValueError("multisets need an integer k >= 2")
         object.__setattr__(self, "cycle", _check_cycle(self.cycle))
         f_map = {}
         total = 0
         for v, vec in self.f.items() if isinstance(self.f, dict) else self.f:
-            v = int(v)
-            vec = tuple(int(x) for x in vec)
+            if type(v) is not int:
+                raise ValueError(f"f is keyed by the integer cycle labels, not {v!r}")
+            vec = tuple(vec)
             if len(vec) != self.k - 1:
                 raise ValueError(
                     f"multiplicity vector of {v} must have length k-1 = {self.k - 1}"
                 )
-            if any(x < 0 for x in vec):
-                raise ValueError("multiplicities must be nonnegative")
+            if any(type(x) is not int or x < 0 for x in vec):
+                raise ValueError("multiplicities must be nonnegative integers")
             if v in f_map:
                 raise ValueError(f"f names vertex {v} twice")
             f_map[v] = vec
@@ -179,7 +181,16 @@ def ornament_to_multiset(o: Ornament) -> CyclicMultiset:
             counts[p.labels[j]][q] += 1
         else:
             u += 1
-    return CyclicMultiset(p.k, canonical_cycle(p.labels), counts)
+    return _encoded(p.k, p.labels, counts)
+
+
+def _encoded(k: int, order, counts: dict[int, list[int]]) -> CyclicMultiset:
+    """The multiset that an encoding produced: the cycle `order` and the
+    multiplicity vectors `counts`, stored the way the public constructor
+    stores them."""
+    f_map = {v: tuple(counts[v]) for v in sorted(counts)}
+    return trusted(CyclicMultiset, k=k, cycle=canonical_cycle(order),
+                   f=tuple(f_map.items()), f_map=f_map)
 
 
 def _least_root_order(m: CyclicMultiset, what: str) -> tuple[tuple[int, ...], set[int]]:
@@ -202,7 +213,8 @@ def multiset_to_ornament(m: CyclicMultiset) -> Ornament:
     for v in order:
         for r in m.f_map[v]:
             chunks.append("R" * r + "U")
-    return Ornament(GoodPath(m.k, "".join(chunks), order))
+    return trusted(Ornament, rep=trusted(GoodPath, k=m.k, steps="".join(chunks),
+                                         labels=order))
 
 
 # -- encoding of cycle-rooted trees ---------------------------------------------
@@ -252,7 +264,7 @@ def cycle_tree_to_multiset(
             p = parent_slot[v]
             vec = [chain(v, q) for q in range(c.k) if q != p]
         f[v] = vec
-    return CyclicMultiset(c.k, canonical_cycle(order), f)
+    return _encoded(c.k, order, f)
 
 
 def multiset_to_cycle_tree(m: CyclicMultiset) -> CycleRootedTree:
@@ -264,7 +276,7 @@ def multiset_to_cycle_tree(m: CyclicMultiset) -> CycleRootedTree:
     """
     seq, roots = _least_root_order(m, "tree")
     k = m.k
-    table: dict[int, list[int | None]] = {v: [None] * k for v in m.cycle}
+    table: dict[int, list[int | None]] = {v: [None] * k for v in m.f_map}
 
     def build(v: int, chains: list[int], pos: int) -> int:
         for q in range(k):
@@ -297,7 +309,9 @@ def multiset_to_cycle_tree(m: CyclicMultiset) -> CycleRootedTree:
         if chains[0] < 0:
             raise ValueError("a root must carry multiplicity at least 1 on its first node")
         pos = build(r, chains, pos + 1)
-    return CycleRootedTree(k, tuple(cyc), {v: tuple(row) for v, row in table.items()})
+    slot_map = {v: tuple(row) for v, row in table.items()}
+    return trusted(CycleRootedTree, k=k, cycle=tuple(cyc), slots=tuple(slot_map.items()),
+                   slot_map=slot_map)
 
 
 # -- the composed correspondence -------------------------------------------------

@@ -20,6 +20,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import catalan
+from ._trusted import trusted
 from .arith import factorial
 from .errors import DEFAULT_MAX_ENUMERATION, check_cap
 
@@ -48,8 +49,8 @@ class GoodPath:
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
-        if self.k < 2:
-            raise ValueError("paths need k >= 2")
+        if type(self.k) is not int or self.k < 2:
+            raise ValueError("paths need an integer k >= 2")
         n = len(self.labels)
         if n < 1:
             raise ValueError("a path carries at least one label")
@@ -157,6 +158,35 @@ def _good_words(k: int, n: int):
     yield from rec(0, 0)
 
 
+def _labeled_paths(k: int, labels, max_count, minimal: bool):
+    """The labeled good paths on a label set in enumerate_paths order, or
+    only the label-minimal ones.
+
+    The arguments and the cap are checked once. The first labeling of
+    each word, by the sorted labels, goes through the public constructor,
+    which checks the word and the labels; the word's other labelings reuse
+    both. A labeling is label-minimal when its first label undercuts the
+    labels at the word's other touch positions, so with `minimal` only
+    those labelings are built: 1 in p for a word with p touches.
+    """
+    base = sorted(labels)
+    if len(set(base)) != len(base):
+        raise ValueError("label set contains duplicates")
+    if k < 2 or not base:
+        raise ValueError("enumerate_paths needs k >= 2 and a nonempty label set")
+    check_cap(catalan.count_paths(k, len(base)), max_count, "good paths")
+    perms = list(itertools.permutations(base))
+    for word in _good_words(k, len(base)):
+        first = GoodPath(k, word, perms[0])
+        yield first
+        rest = perms[1:]
+        if minimal:
+            touches = [h // (k - 1) for h, _ in diagonal_touches(first)][1:]
+            rest = [q for q in rest if all(q[0] < q[j] for j in touches)]
+        for q in rest:
+            yield trusted(GoodPath, k=k, steps=word, labels=q)
+
+
 def enumerate_paths(
     k: int, labels, max_count: int | None = DEFAULT_MAX_ENUMERATION
 ) -> list[GoodPath]:
@@ -165,18 +195,7 @@ def enumerate_paths(
     Order: step words lexicographically, then label assignments
     lexicographically within each word.
     """
-    base = sorted(labels)
-    if len(set(base)) != len(base):
-        raise ValueError("label set contains duplicates")
-    if k < 2 or not base:
-        raise ValueError("enumerate_paths needs k >= 2 and a nonempty label set")
-    n = len(base)
-    check_cap(catalan.count_paths(k, n), max_count, "good paths")
-    out = []
-    for word in _good_words(k, n):
-        for perm in itertools.permutations(base):
-            out.append(GoodPath(k, word, perm))
-    return out
+    return list(_labeled_paths(k, labels, max_count, False))
 
 
 def enumerate_minimal_paths(
@@ -184,7 +203,7 @@ def enumerate_minimal_paths(
 ) -> list[GoodPath]:
     """The label-minimal paths on the given label set, in the order of
     enumerate_paths; the cap is checked against the path count."""
-    return [p for p in enumerate_paths(k, labels, max_count) if is_label_minimal(p)]
+    return list(_labeled_paths(k, labels, max_count, True))
 
 
 def _cut(p: GoodPath, height: int) -> tuple[int, int]:
@@ -209,10 +228,10 @@ def decompose(p: GoodPath) -> MinimalField:
             cuts.append(_cut(p, height))
             low = lab
     if len(cuts) == 1:  # no touch undercuts the origin: p is label-minimal
-        return MinimalField(frozenset({p}))
+        return trusted(MinimalField, parts=frozenset({p}))
     cuts.append((len(p.steps), p.n))
-    return MinimalField(frozenset(
-        GoodPath(p.k, p.steps[s:t], p.labels[i:j])
+    return trusted(MinimalField, parts=frozenset(
+        trusted(GoodPath, k=p.k, steps=p.steps[s:t], labels=p.labels[i:j])
         for (s, i), (t, j) in zip(cuts, cuts[1:])
     ))
 
@@ -223,7 +242,7 @@ def recompose(field: MinimalField) -> GoodPath:
     parts = sorted(field.parts, key=lambda q: q.labels[0], reverse=True)
     steps = "".join(q.steps for q in parts)
     labels = tuple(v for q in parts for v in q.labels)
-    return GoodPath(field.k, steps, labels)
+    return trusted(GoodPath, k=field.k, steps=steps, labels=labels)
 
 
 def _rotate_to(p: GoodPath, height: int) -> GoodPath:
@@ -231,7 +250,8 @@ def _rotate_to(p: GoodPath, height: int) -> GoodPath:
     if height == 0:
         return p
     s, j = _cut(p, height)
-    return GoodPath(p.k, p.steps[s:] + p.steps[:s], p.labels[j:] + p.labels[:j])
+    return trusted(GoodPath, k=p.k, steps=p.steps[s:] + p.steps[:s],
+                   labels=p.labels[j:] + p.labels[:j])
 
 
 def rotations(p: GoodPath) -> list[GoodPath]:
@@ -246,7 +266,7 @@ def to_ornament(p: GoodPath) -> Ornament:
     touch with the smallest label sits at the origin.
     """
     height, _ = min(diagonal_touches(p), key=lambda touch: touch[1])
-    return Ornament(_rotate_to(p, height))
+    return trusted(Ornament, rep=_rotate_to(p, height))
 
 
 def touch_count(o: Ornament) -> int:
@@ -267,7 +287,8 @@ def enumerate_ornaments(
     in lexicographic order, so the ornaments come out sorted by
     (rep.steps, rep.labels). The cap is checked against the path count.
     """
-    return [Ornament(p) for p in enumerate_minimal_paths(k, range(1, n + 1), max_count)]
+    return [trusted(Ornament, rep=p)
+            for p in enumerate_minimal_paths(k, range(1, n + 1), max_count)]
 
 
 def _set_partitions(items: list[int], blocks: int):
@@ -305,7 +326,7 @@ def enumerate_fields(
     for partition in _set_partitions(list(range(1, n + 1)), parts):
         pools = [enumerate_minimal_paths(k, block, max_count) for block in partition]
         for combo in itertools.product(*pools):
-            out.append(MinimalField(frozenset(combo)))
+            out.append(trusted(MinimalField, parts=frozenset(combo)))
     return sorted(
         out, key=lambda f: tuple(sorted((p.steps, p.labels) for p in f.parts))
     )

@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import catalan
+from ._trusted import trusted
 from .errors import DEFAULT_MAX_ENUMERATION, check_cap
 
 Slots = tuple[tuple[int, tuple[int | None, ...]], ...]
@@ -84,8 +85,7 @@ def _slot_table(k: int, roots: tuple[int, ...], slots) -> Table:
         row = tuple(row)
         if len(row) != k:
             raise ValueError(f"slot array of vertex {v} must have length {k}")
-        v = int(v)
-        if v < 1:
+        if type(v) is not int or v < 1:
             raise ValueError("vertices must be positive integers")
         if v in table:
             raise ValueError(f"slots names vertex {v} twice")
@@ -99,6 +99,8 @@ def _slot_table(k: int, roots: tuple[int, ...], slots) -> Table:
         for c in table[stack.pop()]:
             if c is None:
                 continue
+            if type(c) is not int:
+                raise ValueError(f"a slot holds a vertex or None, not {c!r}")
             if c in seen:
                 raise ValueError(f"root {c} sits in a slot" if c in roots
                                  else f"vertex {c} occupies two slots")
@@ -134,8 +136,10 @@ class PlaneTree(_SlotTable):
     slots: Slots
 
     def __post_init__(self):
-        if self.k < 2:
-            raise ValueError("trees need k >= 2")
+        if type(self.k) is not int or self.k < 2:
+            raise ValueError("trees need an integer k >= 2")
+        if type(self.root) is not int:
+            raise ValueError("the root must be a positive integer")
         self._keep(_slot_table(self.k, (self.root,), self.slots))
 
 
@@ -178,8 +182,8 @@ class CycleRootedTree(_SlotTable):
     slots: Slots
 
     def __post_init__(self):
-        if self.k < 2:
-            raise ValueError("trees need k >= 2")
+        if type(self.k) is not int or self.k < 2:
+            raise ValueError("trees need an integer k >= 2")
         object.__setattr__(self, "cycle", _check_cycle(self.cycle))
         self._keep(_slot_table(self.k, self.cycle, self.slots))
         for r in self.cycle:
@@ -263,17 +267,21 @@ def tree_to_forest(t: PlaneTree) -> RootMinimalForest:
     parts = []
     for r in roots:
         below = [c for _, _, c in slot_walk(table, r) if c is not None]
-        parts.append(PlaneTree(t.k, r, {v: table[v] for v in [r] + below}))
-    return RootMinimalForest(frozenset(parts))
+        part = {v: table[v] for v in sorted([r] + below)}
+        parts.append(trusted(PlaneTree, k=t.k, root=r, slots=tuple(part.items()),
+                             slot_map=part))
+    return trusted(RootMinimalForest, parts=frozenset(parts))
 
 
 def forest_to_tree(f: RootMinimalForest) -> PlaneTree:
     """Inverse of tree_to_forest: glue the trees in decreasing root order,
     each root into the vacant rightmost slot ending the previous branch."""
     parts = sorted(f.parts, key=lambda t: t.root, reverse=True)
-    rows = [row for t in parts for row in t.slots]
+    rows = sorted(row for t in parts for row in t.slots)
     links = {rightmost_branch(a)[-1]: b.root for a, b in zip(parts, parts[1:])}
-    return PlaneTree(f.k, parts[0].root, _relink(f.k, rows, links))
+    table = _relink(f.k, rows, links)
+    return trusted(PlaneTree, k=f.k, root=parts[0].root, slots=tuple(table.items()),
+                   slot_map=table)
 
 
 def to_cycle_rooted(t: PlaneTree) -> CycleRootedTree:
@@ -282,14 +290,18 @@ def to_cycle_rooted(t: PlaneTree) -> CycleRootedTree:
     if not is_root_minimal(t):
         raise ValueError("only a root-minimal tree bends into a cycle")
     branch = tuple(rightmost_branch(t))
-    return CycleRootedTree(t.k, branch, _relink(t.k, t.slot_map, dict.fromkeys(branch)))
+    table = _relink(t.k, t.slot_map, dict.fromkeys(branch))
+    return trusted(CycleRootedTree, k=t.k, cycle=branch, slots=tuple(table.items()),
+                   slot_map=table)
 
 
 def to_root_minimal(c: CycleRootedTree) -> PlaneTree:
     """Open the root cycle before its minimal vertex; the cycle becomes the
     rightmost branch of a root-minimal tree."""
     links = dict(zip(c.cycle, c.cycle[1:]))
-    return PlaneTree(c.k, c.cycle[0], _relink(c.k, c.slot_map, links))
+    table = _relink(c.k, c.slot_map, links)
+    return trusted(PlaneTree, k=c.k, root=c.cycle[0], slots=tuple(table.items()),
+                   slot_map=table)
 
 
 def enumerate_cycle_rooted(

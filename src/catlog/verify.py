@@ -158,6 +158,37 @@ def _check_all(name, k, n, bad) -> CheckResult:
     return _check(name, k, n, False, serialize.dumps(bad))
 
 
+def _rebuilt(x):
+    """x built again by the public constructors from its stored fields."""
+    return _REBUILD[type(x)](x)
+
+
+# the public constructor of each structure verify checks, or whose parts
+# it checks, fed a structure's stored fields; parts are rebuilt first
+_REBUILD = {
+    paths.GoodPath: lambda p: paths.GoodPath(p.k, p.steps, p.labels),
+    paths.MinimalField: lambda f: paths.MinimalField(frozenset(map(_rebuilt, f.parts))),
+    trees.PlaneTree: lambda t: trees.PlaneTree(t.k, t.root, t.slots),
+    trees.RootMinimalForest: lambda f: trees.RootMinimalForest(frozenset(map(_rebuilt, f.parts))),
+    trees.CycleRootedTree: lambda c: trees.CycleRootedTree(c.k, c.cycle, c.slots),
+    multisets.CyclicMultiset: lambda m: multisets.CyclicMultiset(m.k, m.cycle, m.f),
+}
+
+
+def _valid(x) -> bool:
+    """x equals its rebuild by the public constructors: every invariant
+    holds and every field is stored normalized.
+
+    The enumerators and bijections build through the trusted constructor.
+    An image list is checked this way once per image, in the first check
+    that reads it, unless a roundtrip equality or a range set equality
+    with structures the enumerators built proves it valid."""
+    try:
+        return _rebuilt(x) == x
+    except ValueError:
+        return False
+
+
 def _range_check(name, k, n, images, rooted: set) -> CheckResult:
     """The images are exactly the rooted multisets."""
     got = set(images)
@@ -220,7 +251,7 @@ def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResu
         rooted = set(rooted_ms)
         fields = [paths.decompose(p) for p in all_paths]
         bij.append(_check_all("path-field-roundtrip", k, n, _counterexample(
-            lambda p, f: paths.recompose(f) == p, all_paths, fields)))
+            lambda p, f: _valid(f) and paths.recompose(f) == p, all_paths, fields)))
         n_images = len(set(fields))
         del fields
         total_fields = sum(n_fields)
@@ -231,7 +262,7 @@ def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResu
 
         forests = [trees.tree_to_forest(t) for t in all_trees]
         bij.append(_check_all("tree-forest-roundtrip", k, n, _counterexample(
-            lambda t, f: trees.forest_to_tree(f) == t, all_trees, forests)))
+            lambda t, f: _valid(f) and trees.forest_to_tree(f) == t, all_trees, forests)))
         bij.append(_check("tree-forest-injective", k, n,
                           len(set(forests)) == len(all_trees)))
         bij.append(_check_all("forest-parts-root-minimal", k, n, _counterexample(
@@ -240,7 +271,7 @@ def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResu
         del forests
 
         cycled = [trees.to_cycle_rooted(t) for t in min_trees]
-        bad = _counterexample(lambda t, c: trees.to_root_minimal(c) == t,
+        bad = _counterexample(lambda t, c: _valid(c) and trees.to_root_minimal(c) == t,
                               min_trees, cycled)
         if bad is None:
             bad = _counterexample(
@@ -275,6 +306,9 @@ def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResu
         touch_labels = [{lab for _, lab in paths.diagonal_touches(o.rep)}
                         for o in ornaments]
 
+    # the encodings are proven valid by their range checks, the carried
+    # trees are checked in the composed roundtrip; without the bijections
+    # suite, the first statistics check that reads each image checks it
     encoded = [multisets.ornament_to_multiset(o) for o in ornaments]
     if bijections:
         bij.append(_check_all("ornament-multiset-roundtrip", k, n, _counterexample(
@@ -282,7 +316,8 @@ def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResu
         bij.append(_range_check("ornament-encoding-range", k, n, encoded, rooted))
     if statistics:
         stat.append(_check_all("ornament-root-vertices", k, n, _counterexample(
-            lambda o, m, labels: multisets.root_vertices(m) == labels,
+            lambda o, m, labels: (bijections or _valid(m))
+            and multisets.root_vertices(m) == labels,
             ornaments, encoded, touch_labels)))
 
     tree_codes = [multisets.cycle_tree_to_multiset(c) for c in cycle_trees]
@@ -293,7 +328,8 @@ def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResu
         bij.append(_range_check("cycle-tree-encoding-range", k, n, tree_codes, rooted))
     if statistics:
         stat.append(_check_all("cycle-tree-root-vertices", k, n, _counterexample(
-            lambda c, m: multisets.root_vertices(m) == set(c.cycle),
+            lambda c, m: (bijections or _valid(m))
+            and multisets.root_vertices(m) == set(c.cycle),
             cycle_trees, tree_codes)))
     del tree_codes
 
@@ -301,10 +337,11 @@ def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResu
     del encoded
     if bijections:
         bij.append(_check_all("composed-correspondence-roundtrip", k, n, _counterexample(
-            lambda o, c: multisets.cycle_tree_to_ornament(c) == o, ornaments, carried)))
+            lambda o, c: _valid(c) and multisets.cycle_tree_to_ornament(c) == o,
+            ornaments, carried)))
     if statistics:
         stat.append(_check_all("touch-labels-become-roots", k, n, _counterexample(
-            lambda o, c, labels: set(c.cycle) == labels,
+            lambda o, c, labels: (bijections or _valid(c)) and set(c.cycle) == labels,
             ornaments, carried, touch_labels)))
         del touch_labels
     del carried

@@ -90,6 +90,19 @@ class TestConstruction:
         with pytest.raises(ValueError, match="cycle labels must be positive integers"):
             ms(2, cycle, f)
 
+    @pytest.mark.parametrize("k, f, match", [
+        (2, {1.9: (1.7,)}, "f is keyed by the integer cycle labels, not 1.9"),
+        (2, {1.0: (1,)}, "f is keyed by the integer cycle labels, not 1.0"),
+        (2, {1: (1.0,)}, "multiplicities must be nonnegative integers"),
+        (2, {1: (True,)}, "multiplicities must be nonnegative integers"),
+        (2.0, {1: (1,)}, "multisets need an integer k >= 2"),
+    ], ids=["float-label-and-count", "integral-float-label", "float-count", "bool-count",
+            "float-k"])
+    def test_floats_and_bools_are_not_ints(self, k, f, match):
+        # each used to be coerced (or compared equal) and build
+        with pytest.raises(ValueError, match=match):
+            ms(k, (1,), f)
+
 
 class TestSegments:
     def test_size_one(self):

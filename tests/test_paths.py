@@ -59,6 +59,12 @@ class TestGoodPath:
         with pytest.raises(ValueError, match="labels must be distinct positive integers"):
             GoodPath(2, "RU", labels)
 
+    @pytest.mark.parametrize("k, steps", [(2.0, "RU"), (3.0, "RUU"), (True, "RU"), ("2", "RU")])
+    def test_k_must_be_an_int(self, k, steps):
+        # an integral float passes every other check; it used to build
+        with pytest.raises(ValueError, match="paths need an integer k >= 2"):
+            GoodPath(k, steps, (1,))
+
     def test_bad_word_rejected(self):
         with pytest.raises(ValueError):
             GoodPath(2, "RUUR", (1, 2))
@@ -252,6 +258,44 @@ class TestOrnaments:
             for p in range(1, n + 1):
                 expected = factorial(n) * returns_count(k, n, p) // p
                 assert sum(1 for o in orns if touch_count(o) == p) == expected, (k, n, p)
+
+
+def reference_paths(k, labels):
+    """Every good word on len(labels) right steps in lexicographic order,
+    each with every labelling in lexicographic order, all built by the
+    public constructor."""
+    base = sorted(labels)
+    words = map("".join, itertools.product("RU", repeat=k * len(base)))
+    return [GoodPath(k, w, q) for w in words if is_good(k, w)
+            for q in itertools.permutations(base)]
+
+
+class TestMinimalPaths:
+    LABEL_SETS = ([(k, range(1, n + 1)) for k, n in GRID]
+                  + [(k, {3, 7, 10, 20}) for k in (2, 3, 4)] + [(2, [20, 3, 10, 7, 5])])
+
+    @pytest.mark.parametrize("k, labels", LABEL_SETS,
+                             ids=[f"k{k}-{sorted(ls)}" for k, ls in LABEL_SETS])
+    def test_equals_the_label_minimal_filter(self, k, labels):
+        every = enumerate_paths(k, labels)
+        assert every == reference_paths(k, labels)
+        minimal = enumerate_minimal_paths(k, labels)
+        assert minimal == [p for p in every if is_label_minimal(p)]
+
+    @pytest.mark.parametrize("enumerate_", [enumerate_paths, enumerate_minimal_paths])
+    def test_errors_keep_their_messages(self, enumerate_):
+        with pytest.raises(ValueError, match="^label set contains duplicates$"):
+            enumerate_(2, [1, 2, 2])
+        with pytest.raises(ValueError,
+                           match="^enumerate_paths needs k >= 2 and a nonempty label set$"):
+            enumerate_(2, [])
+        with pytest.raises(ResourceCapError) as cap:
+            enumerate_(2, range(1, 6), max_count=10)
+        assert str(cap.value) == ("good paths: 5040 structures predicted, cap is 10 "
+                                  "(raise or disable the cap to proceed)")
+        for labels in ([0, 1], [1.0, 2], ["1", "2"]):
+            with pytest.raises(ValueError, match="labels must be distinct positive integers"):
+                enumerate_(2, labels)
 
 
 class TestFields:

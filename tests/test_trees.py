@@ -66,6 +66,23 @@ class TestValidation:
         with pytest.raises(ValueError, match="slots names vertex 1 twice"):
             tree(2, 1, ((1, (None, 2)), (1, (2, None)), (2, leaf_row(2))))
 
+    @pytest.mark.parametrize("build, match", [
+        (lambda: tree(2, 1, {1.5: leaf_row(2)}), "vertices must be positive integers"),
+        (lambda: tree(2, 1, {1.0: leaf_row(2)}), "vertices must be positive integers"),
+        (lambda: tree(2, True, {1: leaf_row(2)}), "the root must be a positive integer"),
+        (lambda: tree(2, 1, {1: (2.0, None), 2: leaf_row(2)}),
+         "a slot holds a vertex or None, not 2.0"),
+        (lambda: tree(2.0, 1, {1: leaf_row(2)}), "trees need an integer k >= 2"),
+        (lambda: CycleRootedTree(2, (1,), {1: (2.0, None), 2: leaf_row(2)}),
+         "a slot holds a vertex or None, not 2.0"),
+        (lambda: CycleRootedTree(2.0, (1,), {1: leaf_row(2)}), "trees need an integer k >= 2"),
+    ], ids=["float-vertex", "integral-float-vertex", "bool-root", "float-occupant", "float-k",
+            "cycle-tree-float-occupant", "cycle-tree-float-k"])
+    def test_floats_and_bools_are_not_ints(self, build, match):
+        # each used to be truncated (or compared equal) and build
+        with pytest.raises(ValueError, match=match):
+            build()
+
     def test_cycle_tree_needs_vacant_rightmost(self):
         with pytest.raises(ValueError):
             CycleRootedTree(2, (1,), {1: (None, 2), 2: leaf_row(2)})

@@ -10,6 +10,7 @@ from collections import Counter
 import pytest
 
 from catlog import multisets, paths, serialize, trees, verify
+from catlog._trusted import trusted
 from catlog.cli import main
 from catlog.errors import DEFAULT_MAX_ENUMERATION
 from catlog.verify import run_suite
@@ -166,18 +167,24 @@ def _suite_names(suite):
     return {r.name for r in run_suite(suite, [K], N).results}
 
 
+def _send(monkeypatch, module, attr, x0, image):
+    """Make module.attr send x0 to `image`, every other input as before."""
+    real = getattr(module, attr)
+
+    def wrong(x, *args):
+        return image if x == x0 else real(x, *args)
+
+    monkeypatch.setattr(module, attr, wrong)
+
+
 def corrupt(monkeypatch, which):
     """Make one shared bijection send x0 to the image of x1; return the
     checks that must fail."""
     module, attr, pick, failing = CORRUPTIONS[which]
     x0, x1 = pick()
     real = getattr(module, attr)
-
-    def wrong(x, *args):
-        return real(x1 if x == x0 else x, *args)
-
     assert real(x0) != real(x1)
-    monkeypatch.setattr(module, attr, wrong)
+    _send(monkeypatch, module, attr, x0, real(x1))
     return failing
 
 
@@ -197,10 +204,10 @@ def test_a_wrong_image_fails_its_checks(monkeypatch, which):
         assert set(_failing(suite)) == want
 
 
-@pytest.mark.parametrize("which", CORRUPTIONS)
-def test_counterexamples_replay(monkeypatch, capsys, which):
-    corrupt(monkeypatch, which)
-    failed = _failing("all")
+def _replayed(monkeypatch, capsys, failed) -> int:
+    """Replay each failed for-all check's counterexample through `catlog
+    map` and `catlog render`, with the bijections restored; return how
+    many were replayed."""
     monkeypatch.undo()
     replayed = 0
     for (name, _, _), message in failed.items():
@@ -213,7 +220,13 @@ def test_counterexamples_replay(monkeypatch, capsys, which):
             assert main(argv) == 0, (name, argv)
             capsys.readouterr()
         replayed += 1
-    assert replayed > 0
+    return replayed
+
+
+@pytest.mark.parametrize("which", CORRUPTIONS)
+def test_counterexamples_replay(monkeypatch, capsys, which):
+    corrupt(monkeypatch, which)
+    assert _replayed(monkeypatch, capsys, _failing("all")) > 0
 
 
 def test_passing_checks_carry_no_counterexample():
@@ -226,3 +239,124 @@ def test_first_counterexample_is_named(monkeypatch):
     x0, _ = _paths()
     corrupt(monkeypatch, "decompose")
     assert _failing("bijections")[("path-field-roundtrip", K, N)] == serialize.dumps(x0)
+
+
+# -- invalid images ---------------------------------------------------------------
+# The bijections build their images through the trusted constructor, which
+# checks nothing. An image that no roundtrip or range check compares with a
+# valid structure is checked in the first check that reads it. Each pick
+# returns an input x0, an invalid image for it, and the counterexample the
+# check that validates the image must report.
+
+
+def _field_of_a_non_minimal_path():
+    """A path that is not label-minimal, and the field holding it as its
+    only part. It recomposes to the path: only the validity check sees it."""
+    p = next(p for p in paths.enumerate_paths(K, range(1, N + 1))
+             if not paths.is_label_minimal(p))
+    return p, trusted(paths.MinimalField, parts=frozenset({p})), p
+
+
+def _leaf(v):
+    row = (None,) * K
+    return trusted(trees.PlaneTree, k=K, root=v, slots=((v, row),), slot_map={v: row})
+
+
+def _forest_with_overlapping_parts():
+    """A tree, and its forest plus a one-vertex part on a vertex that
+    another part holds below its root; every part stays root-minimal."""
+    for t in trees.enumerate_trees(K, range(1, N + 1)):
+        forest = trees.tree_to_forest(t)
+        for part in forest.parts:
+            below = [v for v in part.slot_map if v != part.root]
+            if below:
+                image = trusted(trees.RootMinimalForest, parts=forest.parts | {_leaf(below[0])})
+                return t, image, t
+    raise AssertionError("no tree has a part with two vertices")
+
+
+def _cycle_keeping_its_branch_links():
+    """A root-minimal tree whose rightmost branch has two or more vertices,
+    and that branch as the cycle with the rightmost slots left occupied.
+    It opens back into the tree, so without the validity check only the
+    reverse roundtrip would fail, naming a cycle tree instead of x0."""
+    t = next(t for t in trees.enumerate_trees(K, range(1, N + 1))
+             if trees.is_root_minimal(t) and len(trees.rightmost_branch(t)) > 1)
+    image = trusted(trees.CycleRootedTree, k=K, cycle=tuple(trees.rightmost_branch(t)),
+                    slots=t.slots, slot_map=t.slot_map)
+    return t, image, t
+
+
+def _tree_with_a_loose_vertex():
+    """A rooted multiset, and its tree plus a vertex that hangs below no
+    root. Exploring from the cycle never meets that vertex, so the tree
+    still carries its ornament back: only the validity check sees it."""
+    m = multisets.enumerate_multisets(K, N, rooted_only=True)[0]
+    c = multisets.multiset_to_cycle_tree(m)
+    table = {**c.slot_map, N + 1: (None,) * K}
+    image = trusted(trees.CycleRootedTree, k=K, cycle=c.cycle, slots=tuple(table.items()),
+                    slot_map=table)
+    return m, image, multisets.multiset_to_ornament(m)
+
+
+def _rotated_encoding(encode, items):
+    """The first item, and its multiset encoding stored from the second
+    label of its cycle instead of the smallest."""
+    x = items[0]
+    m = encode(x)
+    image = trusted(multisets.CyclicMultiset, k=m.k, cycle=m.cycle[1:] + m.cycle[:1],
+                    f=m.f, f_map=m.f_map)
+    return x, image, x
+
+
+# each bijection, the pick of its invalid image, the checks that must fail
+# in each suite when x0 is sent to that image, and the (suite, check) that
+# validates the image
+INVALID_IMAGES = {
+    "decompose": (paths, "decompose", _field_of_a_non_minimal_path, {
+        "all": {"path-field-roundtrip"}, "bijections": {"path-field-roundtrip"},
+        "statistics": set()}, ("all", "path-field-roundtrip")),
+    "tree_to_forest": (trees, "tree_to_forest", _forest_with_overlapping_parts, {
+        "all": {"tree-forest-roundtrip"}, "bijections": {"tree-forest-roundtrip"},
+        "statistics": set()}, ("all", "tree-forest-roundtrip")),
+    "to_cycle_rooted": (trees, "to_cycle_rooted", _cycle_keeping_its_branch_links, {
+        "all": {"min-cycle-roundtrip"}, "bijections": {"min-cycle-roundtrip"},
+        "statistics": set()}, ("all", "min-cycle-roundtrip")),
+    # the tree_codes roundtrip compares the image with the cycle tree it
+    # came from; the carried trees are checked in the composed roundtrip,
+    # or by touch-labels-become-roots when the bijections suite is not run
+    "multiset_to_cycle_tree": (multisets, "multiset_to_cycle_tree", _tree_with_a_loose_vertex, {
+        "all": {"cycle-tree-multiset-roundtrip", "composed-correspondence-roundtrip"},
+        "bijections": {"cycle-tree-multiset-roundtrip",
+                       "composed-correspondence-roundtrip"},
+        "statistics": {"touch-labels-become-roots"}},
+        ("all", "composed-correspondence-roundtrip")),
+    # the encodings are proven valid by their range checks, and checked by
+    # the first statistics check that reads them when those do not run
+    "ornament_to_multiset": (multisets, "ornament_to_multiset", lambda: _rotated_encoding(
+        multisets.ornament_to_multiset, paths.enumerate_ornaments(K, N)), {
+        "all": {"ornament-encoding-range"}, "bijections": {"ornament-encoding-range"},
+        "statistics": {"ornament-root-vertices"}}, ("statistics", "ornament-root-vertices")),
+    "cycle_tree_to_multiset": (multisets, "cycle_tree_to_multiset", lambda: _rotated_encoding(
+        multisets.cycle_tree_to_multiset, trees.enumerate_cycle_rooted(K, N)), {
+        "all": {"cycle-tree-encoding-range"}, "bijections": {"cycle-tree-encoding-range"},
+        "statistics": {"cycle-tree-root-vertices"}},
+        ("statistics", "cycle-tree-root-vertices")),
+}
+
+
+@pytest.mark.parametrize("which", INVALID_IMAGES)
+def test_an_invalid_image_fails_the_check_that_reads_it(monkeypatch, capsys, which):
+    module, attr, pick, failing, (suite, check) = INVALID_IMAGES[which]
+    x0, image, witness = pick()
+    with pytest.raises(ValueError):
+        serialize.loads(serialize.dumps(image))
+    _send(monkeypatch, module, attr, x0, image)
+    failed = {}
+    for s, names in failing.items():
+        got = _failing(s)
+        assert set(got) == {(name, K, N) for name in names}, s
+        if s == suite:
+            assert got[(check, K, N)] == serialize.dumps(witness)
+        failed.update(got)
+    assert _replayed(monkeypatch, capsys, failed) > 0
