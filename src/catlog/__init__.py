@@ -26,8 +26,10 @@ from .multisets import (
     cycle_tree_to_multiset,
     cycle_tree_to_ornament,
     enumerate_multisets,
+    multiset_rank,
     multiset_to_cycle_tree,
     multiset_to_ornament,
+    multiset_unrank,
     ornament_to_cycle_tree,
     ornament_to_multiset,
     root_vertices,

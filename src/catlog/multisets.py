@@ -14,11 +14,16 @@ above each label; cycle-rooted trees encode by depth-first exploration
 order plus redistributed slot-chain lengths. Both encodings are
 injective with the same image, the multisets that have root vertices,
 which is what ties the path picture to the tree picture.
+
+`multiset_rank` numbers the multisets on labels 1..n exactly, in
+enumeration order, and `multiset_unrank` inverts it; verify reads an
+encoding's range as one byte per rank.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from . import catalan
@@ -134,6 +139,24 @@ def _weak_compositions(total: int, parts: int):
             yield (head,) + rest
 
 
+def _multisets(k: int, n: int, max_count):
+    """The cyclically ordered multisets on labels 1..n in enumerate_multisets
+    order, which is the order of their ranks."""
+    if k < 2 or n < 1:
+        raise ValueError("enumerate_multisets needs k >= 2 and n >= 1")
+    check_cap(catalan.count_multisets(k, n), max_count, "cyclic multisets")
+    labels = tuple(range(1, n + 1))
+    width = k - 1
+    for rest in itertools.permutations(labels[1:]):
+        cycle = (1,) + rest
+        for comp in _weak_compositions(n, n * width):
+            yield CyclicMultiset(
+                k,
+                cycle,
+                {v: comp[(v - 1) * width : v * width] for v in labels},
+            )
+
+
 def enumerate_multisets(
     k: int,
     n: int,
@@ -141,25 +164,91 @@ def enumerate_multisets(
     max_count: int | None = DEFAULT_MAX_ENUMERATION,
 ) -> list[CyclicMultiset]:
     """All cyclically ordered multisets on labels 1..n, or only those with
-    root vertices, in a fixed order."""
+    root vertices, in a fixed order: the cycles after label 1
+    lexicographically, then the multiplicities read label by label
+    lexicographically."""
+    return [m for m in _multisets(k, n, max_count) if not rooted_only or root_vertices(m)]
+
+
+def _compositions(total: int, parts: int) -> int:
+    """The number of weak compositions of `total` into `parts` >= 1 parts;
+    0 for a negative total."""
+    return math.comb(total + parts - 1, total) if total >= 0 else 0
+
+
+_NOT_STORED = "not a multiset on labels 1..n stored as its constructor stores it"
+
+
+def multiset_rank(m: CyclicMultiset) -> int:
+    """The position of m in enumerate_multisets(m.k, m.n).
+
+    The Lehmer code of the cycle after label 1, times the number of weak
+    compositions of n into n(k-1) parts, plus the lexicographic rank of
+    the multiplicities read label by label (Knuth, TAOCP vol. 4A,
+    7.2.1.2-3; Nijenhuis-Wilf, Combinatorial Algorithms). The ranks fill
+    [0, count_multisets(k, n)) exactly. Raises ValueError unless m is
+    stored exactly as the public constructor stores a multiset on labels
+    1..n: an integer k >= 2, the cycle a tuple of those labels starting
+    at 1, f a tuple of (label, vector) tuples by label, each vector k-1
+    nonnegative integers, all of them summing to n.
+    """
+    if type(m) is not CyclicMultiset or type(m.k) is not int or m.k < 2:
+        raise ValueError(_NOT_STORED)
+    k, cycle, f = m.k, m.cycle, m.f
+    n = len(cycle)
+    if type(cycle) is not tuple or cycle[:1] != (1,) or type(f) is not tuple or len(f) != n:
+        raise ValueError(_NOT_STORED)
+    rest = list(range(1, n + 1))
+    perm = 0
+    for v in cycle:
+        if type(v) is not int or v not in rest:
+            raise ValueError(_NOT_STORED)
+        i = rest.index(v)
+        perm = perm * len(rest) + i
+        rest.pop(i)
+    comp = 0
+    total, parts = n, n * (k - 1)
+    for label, row in enumerate(f, 1):
+        if (type(row) is not tuple or len(row) != 2 or type(row[0]) is not int
+                or row[0] != label or type(row[1]) is not tuple or len(row[1]) != k - 1):
+            raise ValueError(_NOT_STORED)
+        for x in row[1]:
+            if type(x) is not int or not 0 <= x <= total:
+                raise ValueError(_NOT_STORED)
+            if x:  # the compositions that put less than x here come first
+                comp += _compositions(total, parts) - _compositions(total - x, parts)
+                total -= x
+            parts -= 1
+    if total:
+        raise ValueError(_NOT_STORED)
+    return perm * _compositions(n, n * (k - 1)) + comp
+
+
+def multiset_unrank(k: int, n: int, r: int) -> CyclicMultiset:
+    """The multiset of rank r on labels 1..n: the inverse of multiset_rank."""
     if k < 2 or n < 1:
-        raise ValueError("enumerate_multisets needs k >= 2 and n >= 1")
-    check_cap(catalan.count_multisets(k, n), max_count, "cyclic multisets")
-    labels = tuple(range(1, n + 1))
-    width = k - 1
-    out = []
-    for rest in itertools.permutations(labels[1:]):
-        cycle = (1,) + rest
-        for comp in _weak_compositions(n, n * width):
-            m = CyclicMultiset(
-                k,
-                cycle,
-                {v: comp[(v - 1) * width : v * width] for v in labels},
-            )
-            if rooted_only and not root_vertices(m):
-                continue
-            out.append(m)
-    return out
+        raise ValueError("multiset_unrank needs k >= 2 and n >= 1")
+    width = n * (k - 1)
+    if not 0 <= r < catalan.count_multisets(k, n):
+        raise ValueError(f"rank {r} is outside [0, {catalan.count_multisets(k, n)})")
+    perm, comp = divmod(r, _compositions(n, width))
+    digits = []
+    for radix in range(1, n):  # least significant digit first
+        perm, d = divmod(perm, radix)
+        digits.append(d)
+    rest = list(range(2, n + 1))
+    cycle = (1,) + tuple(rest.pop(d) for d in reversed(digits))
+    vec = []
+    total = n
+    for parts in range(width, 0, -1):
+        x = 0
+        while comp >= _compositions(total, parts) - _compositions(total - x - 1, parts):
+            x += 1
+        comp -= _compositions(total, parts) - _compositions(total - x, parts)
+        vec.append(x)
+        total -= x
+    return CyclicMultiset(k, cycle, {v: tuple(vec[(v - 1) * (k - 1) : v * (k - 1)])
+                                     for v in range(1, n + 1)})
 
 
 # -- encoding of ornaments -----------------------------------------------------
@@ -277,23 +366,6 @@ def multiset_to_cycle_tree(m: CyclicMultiset) -> CycleRootedTree:
     seq, roots = _least_root_order(m, "tree")
     k = m.k
     table: dict[int, list[int | None]] = {v: [None] * k for v in m.f_map}
-
-    def build(v: int, chains: list[int], pos: int) -> int:
-        for q in range(k):
-            if chains[q] > 0:
-                if pos >= len(seq):
-                    raise ValueError("multiplicities overrun the label cycle")
-                child = seq[pos]
-                table[v][q] = child
-                child_chains = [0] * k
-                vec = m.f_map[child]
-                others = [s for s in range(k) if s != q]
-                for t, s in enumerate(others):
-                    child_chains[s] = vec[t]
-                child_chains[q] = chains[q] - 1
-                pos = build(child, child_chains, pos + 1)
-        return pos
-
     cyc: list[int] = []
     pos = 0
     while pos < len(seq):
@@ -301,14 +373,30 @@ def multiset_to_cycle_tree(m: CyclicMultiset) -> CycleRootedTree:
         if r not in roots:
             raise ValueError("exploration replay hit a non-root where a root was due")
         cyc.append(r)
-        vec = m.f_map[r]
-        chains = [0] * k
-        for q in range(k - 1):
-            chains[q] = vec[q]
+        chains = [*m.f_map[r], 0]
         chains[0] -= 1
         if chains[0] < 0:
             raise ValueError("a root must carry multiplicity at least 1 on its first node")
-        pos = build(r, chains, pos + 1)
+        pos += 1
+        # depth first, leftmost slot first: each frame is a vertex, its
+        # remaining chain budget per slot, and the slots not yet tried
+        stack = [(r, chains, iter(range(k)))]
+        while stack:
+            v, chains, slots = stack[-1]
+            for q in slots:
+                if chains[q] > 0:
+                    break
+            else:
+                stack.pop()
+                continue
+            if pos >= len(seq):
+                raise ValueError("multiplicities overrun the label cycle")
+            child = seq[pos]
+            pos += 1
+            table[v][q] = child
+            # the child's own chains, with the chain it continues in slot q
+            vec = m.f_map[child]
+            stack.append((child, [*vec[:q], chains[q] - 1, *vec[q:]], iter(range(k))))
     slot_map = {v: tuple(row) for v, row in table.items()}
     return trusted(CycleRootedTree, k=k, cycle=tuple(cyc), slots=tuple(slot_map.items()),
                    slot_map=slot_map)

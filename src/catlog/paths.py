@@ -275,6 +275,12 @@ def touch_count(o: Ornament) -> int:
     return len(diagonal_touches(o.rep))
 
 
+def _ornaments(k: int, n: int, max_count):
+    """The ornaments on labels 1..n in enumerate_ornaments order."""
+    for p in _labeled_paths(k, range(1, n + 1), max_count, True):
+        yield trusted(Ornament, rep=p)
+
+
 def enumerate_ornaments(
     k: int, n: int, max_count: int | None = DEFAULT_MAX_ENUMERATION
 ) -> list[Ornament]:
@@ -287,8 +293,7 @@ def enumerate_ornaments(
     in lexicographic order, so the ornaments come out sorted by
     (rep.steps, rep.labels). The cap is checked against the path count.
     """
-    return [trusted(Ornament, rep=p)
-            for p in enumerate_minimal_paths(k, range(1, n + 1), max_count)]
+    return list(_ornaments(k, n, max_count))
 
 
 def _set_partitions(items: list[int], blocks: int):
@@ -308,6 +313,21 @@ def _set_partitions(items: list[int], blocks: int):
         yield [(first,)] + part
 
 
+def _fields(k: int, n: int, parts: int, max_count):
+    """The minimal fields on labels 1..n with exactly `parts` parts, by set
+    partition of the labels, then by the paths on each block."""
+    if k < 2 or n < 1 or parts < 1:
+        raise ValueError("enumerate_fields needs k >= 2, n >= 1, parts >= 1")
+    if parts > n:
+        return
+    predicted = factorial(n) * catalan.coeff_log_power(k, n, parts) / factorial(parts)
+    check_cap(int(predicted), max_count, "minimal fields")
+    for partition in _set_partitions(list(range(1, n + 1)), parts):
+        pools = [enumerate_minimal_paths(k, block, max_count) for block in partition]
+        for combo in itertools.product(*pools):
+            yield trusted(MinimalField, parts=frozenset(combo))
+
+
 def enumerate_fields(
     k: int, n: int, parts: int, max_count: int | None = DEFAULT_MAX_ENUMERATION
 ) -> list[MinimalField]:
@@ -316,17 +336,5 @@ def enumerate_fields(
     Built as set partitions of the labels crossed with the label-minimal
     paths on each block; empty when parts > n.
     """
-    if k < 2 or n < 1 or parts < 1:
-        raise ValueError("enumerate_fields needs k >= 2, n >= 1, parts >= 1")
-    if parts > n:
-        return []
-    predicted = factorial(n) * catalan.coeff_log_power(k, n, parts) / factorial(parts)
-    check_cap(int(predicted), max_count, "minimal fields")
-    out = []
-    for partition in _set_partitions(list(range(1, n + 1)), parts):
-        pools = [enumerate_minimal_paths(k, block, max_count) for block in partition]
-        for combo in itertools.product(*pools):
-            out.append(trusted(MinimalField, parts=frozenset(combo)))
-    return sorted(
-        out, key=lambda f: tuple(sorted((p.steps, p.labels) for p in f.parts))
-    )
+    return sorted(_fields(k, n, parts, max_count),
+                  key=lambda f: tuple(sorted((p.steps, p.labels) for p in f.parts)))

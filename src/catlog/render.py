@@ -1,4 +1,4 @@
-"""Plain-text pictures: paths on a grid, trees as indented listings."""
+"""Plain-text pictures: paths on a grid, trees as slot listings."""
 
 from __future__ import annotations
 
@@ -41,9 +41,11 @@ def render_path(p: GoodPath) -> str:
 
 
 def _render_slots(slot_map, v: int, lines: list[str]) -> None:
+    """One line per slot below v, depth first: `depth [slot] occupant`,
+    the depth as a number, so a listing grows linearly with the tree."""
     for depth, q, child in slot_walk(slot_map, v):
         occupant = "-" if child is None else child
-        lines.append("  " * depth + f"[{q + 1}] {occupant}")
+        lines.append(f"{depth} [{q + 1}] {occupant}")
 
 
 def render_tree(t: PlaneTree) -> str:

@@ -235,22 +235,25 @@ def _slot_tables(k: int, verts: tuple[int, ...], root: int, open_slots: tuple[in
             yield table
 
 
-def enumerate_trees(
-    k: int, labels, max_count: int | None = DEFAULT_MAX_ENUMERATION
-) -> list[PlaneTree]:
-    """Every plane k-ary tree on the given label set, any root, in a fixed order."""
+def _trees(k: int, labels, max_count):
+    """The plane k-ary trees on a label set, root by root, in the order the
+    slot tables are built."""
     base = sorted(labels)
     if len(set(base)) != len(base):
         raise ValueError("label set contains duplicates")
     if k < 2 or not base:
         raise ValueError("enumerate_trees needs k >= 2 and a nonempty label set")
     check_cap(catalan.count_paths(k, len(base)), max_count, "plane trees")
-    out = []
     for root in base:
         for table in _slot_tables(k, tuple(base), root, tuple(range(k))):
-            out.append(PlaneTree(k, root, table))
-    out.sort(key=lambda t: (t.root, _slots_key(t.slots)))
-    return out
+            yield PlaneTree(k, root, table)
+
+
+def enumerate_trees(
+    k: int, labels, max_count: int | None = DEFAULT_MAX_ENUMERATION
+) -> list[PlaneTree]:
+    """Every plane k-ary tree on the given label set, any root, in a fixed order."""
+    return sorted(_trees(k, labels, max_count), key=lambda t: (t.root, _slots_key(t.slots)))
 
 
 def tree_to_forest(t: PlaneTree) -> RootMinimalForest:
@@ -304,10 +307,8 @@ def to_root_minimal(c: CycleRootedTree) -> PlaneTree:
                    slot_map=table)
 
 
-def enumerate_cycle_rooted(
-    k: int, n: int, max_count: int | None = DEFAULT_MAX_ENUMERATION
-) -> list[CycleRootedTree]:
-    """Every cycle-rooted tree on labels 1..n, built directly from the
+def _cycle_rooted(k: int, n: int, max_count):
+    """The cycle-rooted trees on labels 1..n, built directly from the
     definition: choose the root set and its cyclic order, distribute the
     other vertices, and hang a subtree off each root's first k-1 slots."""
     if k < 2 or n < 1:
@@ -315,7 +316,6 @@ def enumerate_cycle_rooted(
     check_cap(catalan.count_ornaments(k, n), max_count, "cycle-rooted trees")
     verts = tuple(range(1, n + 1))
     hanging_slots = tuple(range(k - 1))
-    out = []
     for size in range(1, n + 1):
         for chosen in itertools.combinations(verts, size):
             for order in itertools.permutations(chosen[1:]):
@@ -335,6 +335,12 @@ def enumerate_cycle_rooted(
                         table: Table = {}
                         for sub in combo:
                             table.update(sub)
-                        out.append(CycleRootedTree(k, cycle, table))
-    out.sort(key=lambda c: (c.cycle, _slots_key(c.slots)))
-    return out
+                        yield CycleRootedTree(k, cycle, table)
+
+
+def enumerate_cycle_rooted(
+    k: int, n: int, max_count: int | None = DEFAULT_MAX_ENUMERATION
+) -> list[CycleRootedTree]:
+    """Every cycle-rooted tree on labels 1..n, sorted by cycle, then by slot
+    table."""
+    return sorted(_cycle_rooted(k, n, max_count), key=lambda c: (c.cycle, _slots_key(c.slots)))

@@ -125,26 +125,20 @@ def suite_series(ks, max_n: int) -> list[CheckResult]:
 
 @lru_cache(maxsize=32)
 def _grid_structures(k: int, n: int, max_count):
-    all_paths = tuple(paths.enumerate_paths(k, range(1, n + 1), max_count))
-    ornaments = tuple(paths.enumerate_ornaments(k, n, max_count))
-    minimal = tuple(o.rep for o in ornaments)
-    all_trees = tuple(trees.enumerate_trees(k, range(1, n + 1), max_count))
-    min_trees = tuple(t for t in all_trees if trees.is_root_minimal(t))
-    cycle_trees = tuple(trees.enumerate_cycle_rooted(k, n, max_count))
-    all_ms = tuple(multisets.enumerate_multisets(k, n, False, max_count))
-    rooted_ms = tuple(m for m in all_ms if multisets.root_vertices(m))
-    return all_paths, minimal, ornaments, all_trees, min_trees, cycle_trees, all_ms, rooted_ms
+    """The cyclic multisets of one grid point, walked once: how many there
+    are, how many of them have root vertices, and the rooted rank map, one
+    byte per multiset rank, 1 at the rank of each rooted multiset.
 
-
-def _counterexample(holds, items, *images):
-    """The first item x for which holds(x, *its images) is false, or None.
-
-    `images` are lists parallel to `items`: the i-th entry of each is the
-    i-th item's image under one bijection."""
-    for x, *ys in zip(items, *images):
-        if not holds(x, *ys):
-            return x
-    return None
+    It keeps no structure. bench/worker.py reads this cache's statistics,
+    which is why the cache and the name stay."""
+    n_all = n_rooted = 0
+    rooted = bytearray(catalan.count_multisets(k, n))
+    for m in multisets._multisets(k, n, max_count):
+        n_all += 1
+        if multisets.root_vertices(m):
+            n_rooted += 1
+            rooted[multisets.multiset_rank(m)] = 1
+    return n_all, n_rooted, bytes(rooted)
 
 
 def _check_all(name, k, n, bad) -> CheckResult:
@@ -180,62 +174,170 @@ def _valid(x) -> bool:
     holds and every field is stored normalized.
 
     The enumerators and bijections build through the trusted constructor.
-    An image list is checked this way once per image, in the first check
-    that reads it, unless a roundtrip equality or a range set equality
-    with structures the enumerators built proves it valid."""
+    An image is checked this way in the first check that reads it, unless
+    a roundtrip equality or a range check compares it with structures
+    the enumerators built."""
     try:
         return _rebuilt(x) == x
     except ValueError:
         return False
 
 
-def _range_check(name, k, n, images, rooted: set) -> CheckResult:
-    """The images are exactly the rooted multisets."""
-    got = set(images)
-    return _check(name, k, n, got == rooted, f"{len(got)} images vs {len(rooted)} rooted")
+class _Range:
+    """Whether a stream of images is exactly the rooted multisets of one
+    grid point, read by rank: one byte per multiset rank, set to 1 at the
+    rank of each image."""
+
+    def __init__(self, k: int, n: int, rooted: bytes):
+        self.k, self.n, self.rooted = k, n, rooted
+        self.seen = bytearray(len(rooted))
+        self.others: list = []  # distinct images equal to no multiset of the point
+
+    def add(self, m) -> None:
+        try:
+            r = multisets.multiset_rank(m)
+        except ValueError:
+            r = None
+        if r is not None and (m.k, m.n) == (self.k, self.n):
+            self.seen[r] = 1
+        elif m not in self.others:  # by equality: an invalid image may not hash
+            self.others.append(m)
+
+    def result(self, name: str) -> CheckResult:
+        images = self.seen.count(1) + len(self.others)
+        return _check(name, self.k, self.n, not self.others and self.seen == self.rooted,
+                      f"{images} images vs {self.rooted.count(1)} rooted")
 
 
 def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResult]]:
     """The checks of each structure suite in `suites` at one grid point,
     as lists by suite name, each in its suite's order.
 
-    The point's structures and field counts are built once and read by
-    every asked suite. Each bijection image is computed once per
-    structure and read by every check that needs it. An image list is
-    dropped after its last reader, and a suite not asked for builds none
-    of the images only it reads."""
-    (all_paths, minimal, ornaments, all_trees, min_trees, cycle_trees,
-     all_ms, rooted_ms) = _grid_structures(k, n, max_count)
+    One pass per picture walks its private enumerator, one structure at a
+    time: the multisets (once per point, in _grid_structures), the paths,
+    the plane trees, the cycle-rooted trees, the ornaments, and the fields
+    of each part count. Each structure's bijection images are computed as
+    it is produced, read by every asked check, and dropped. A pass keeps
+    counts, distributions, the first counterexample of each for-all check
+    in walk order, and the range checks' rank maps. A pass or an image
+    that no asked suite reads is skipped."""
     counts = "counts" in suites
     bijections = "bijections" in suites
     statistics = "statistics" in suites
-    cnt, bij, stat = [], [], []
-    out = {"counts": cnt, "bijections": bij, "statistics": stat}
+    labels = range(1, n + 1)
+    first: dict = {}  # check name -> its first counterexample
+    fail = first.setdefault
+    if counts or bijections:
+        n_ms, n_rooted, rooted = _grid_structures(k, n, max_count)
+
+    n_paths = 0
+    word_dist: Counter = Counter()
+    for p in paths._labeled_paths(k, labels, max_count, False):
+        n_paths += 1
+        if bijections:
+            f = paths.decompose(p)
+            if not (_valid(f) and paths.recompose(f) == p):
+                fail("path-field-roundtrip", p)
+        if statistics:
+            word_dist[len(paths.diagonal_touches(p))] += 1
+
+    n_trees = n_min_trees = 0
+    for t in trees._trees(k, labels, max_count) if counts or bijections else ():
+        n_trees += 1
+        minimal = trees.is_root_minimal(t)
+        n_min_trees += minimal
+        if not bijections:
+            continue
+        f = trees.tree_to_forest(t)
+        if not (_valid(f) and trees.forest_to_tree(f) == t):
+            fail("tree-forest-roundtrip", t)
+        if not all(trees.is_root_minimal(part) for part in f.parts):
+            fail("forest-parts-root-minimal", t)
+        if minimal:
+            c = trees.to_cycle_rooted(t)
+            if not (_valid(c) and trees.to_root_minimal(c) == t):
+                fail("min-cycle-roundtrip", t)
+            if len(c.cycle) != len(trees.rightmost_branch(t)):
+                fail("cycle-length-is-branch-length", t)
+
+    # the encodings are proven valid by their range checks, the carried
+    # trees are checked in the composed roundtrip; without the bijections
+    # suite, the first statistics check that reads each image checks it
+    n_cycle_trees = 0
+    cycle_dist: Counter = Counter()
+    tree_range = _Range(k, n, rooted) if bijections else None
+    for c in trees._cycle_rooted(k, n, max_count):
+        n_cycle_trees += 1
+        if not (bijections or statistics):
+            continue
+        m = multisets.cycle_tree_to_multiset(c)
+        if bijections:
+            # the reverse roundtrip; a forward counterexample comes first
+            if trees.to_cycle_rooted(trees.to_root_minimal(c)) != c:
+                fail("min-cycle-roundtrip", c)
+            if multisets.multiset_to_cycle_tree(m) != c:
+                fail("cycle-tree-multiset-roundtrip", c)
+            tree_range.add(m)
+        if statistics:
+            cycle_dist[len(c.cycle)] += 1
+            if not ((bijections or _valid(m)) and multisets.root_vertices(m) == set(c.cycle)):
+                fail("cycle-tree-root-vertices", c)
+
+    n_ornaments = 0
+    touch_dist: Counter = Counter()
+    ornament_range = _Range(k, n, rooted) if bijections else None
+    for o in paths._ornaments(k, n, max_count):
+        n_ornaments += 1
+        if not (bijections or statistics):
+            continue
+        if statistics:
+            touches = paths.diagonal_touches(o.rep)
+            touch_dist[len(touches)] += 1
+            touch_labels = {lab for _, lab in touches}
+        m = multisets.ornament_to_multiset(o)
+        if bijections:
+            if multisets.multiset_to_ornament(m) != o:
+                fail("ornament-multiset-roundtrip", o)
+            ornament_range.add(m)
+        if statistics and not ((bijections or _valid(m))
+                               and multisets.root_vertices(m) == touch_labels):
+            fail("ornament-root-vertices", o)
+        c = multisets.multiset_to_cycle_tree(m)
+        if bijections and not (_valid(c) and multisets.cycle_tree_to_ornament(c) == o):
+            fail("composed-correspondence-roundtrip", o)
+        if statistics and not ((bijections or _valid(c)) and set(c.cycle) == touch_labels):
+            fail("touch-labels-become-roots", o)
+        if bijections and not all(paths.to_ornament(q) == o for q in paths.rotations(o.rep)):
+            fail("rotation-class-constant", o)
+
     # fields with a parts, for each a up to the largest one an asked suite reads
     top = n if bijections else min(n, 3) if counts else 0
-    n_fields = [len(paths.enumerate_fields(k, n, a, max_count)) for a in range(1, top + 1)]
+    n_fields = [sum(1 for _ in paths._fields(k, n, a, max_count)) for a in range(1, top + 1)]
 
+    def for_all(name):
+        return _check_all(name, k, n, first.get(name))
+
+    cnt, bij, stat = [], [], []
     if counts:
-        n_paths = catalan.count_paths(k, n)
+        n_paths_want = catalan.count_paths(k, n)
         n_orn = catalan.count_ornaments(k, n)
-        n_ms = catalan.count_multisets(k, n)
-        cnt.append(_check("path-count", k, n, len(all_paths) == n_paths,
-                          f"{n_paths} vs {len(all_paths)}"))
-        cnt.append(_check("tree-count", k, n, len(all_trees) == n_paths,
-                          f"{n_paths} vs {len(all_trees)}"))
+        n_ms_want = catalan.count_multisets(k, n)
+        cnt.append(_check("path-count", k, n, n_paths == n_paths_want,
+                          f"{n_paths_want} vs {n_paths}"))
+        cnt.append(_check("tree-count", k, n, n_trees == n_paths_want,
+                          f"{n_paths_want} vs {n_trees}"))
         for name, got in (
-            ("minimal-path-count", len(minimal)),
-            ("ornament-count", len(ornaments)),
-            ("minimal-tree-count", len(min_trees)),
-            ("cycle-tree-count", len(cycle_trees)),
-            ("rooted-multiset-count", len(rooted_ms)),
+            ("minimal-path-count", n_ornaments),
+            ("ornament-count", n_ornaments),
+            ("minimal-tree-count", n_min_trees),
+            ("cycle-tree-count", n_cycle_trees),
+            ("rooted-multiset-count", n_rooted),
         ):
             cnt.append(_check(name, k, n, got == n_orn, f"{n_orn} vs {got}"))
-        cnt.append(_check("multiset-count", k, n, len(all_ms) == n_ms,
-                          f"{n_ms} vs {len(all_ms)}"))
-        cnt.append(_check("rooted-fraction", k, n,
-                          (k - 1) * len(rooted_ms) == len(all_ms),
-                          f"(k-1)*{len(rooted_ms)} vs {len(all_ms)}"))
+        cnt.append(_check("multiset-count", k, n, n_ms == n_ms_want,
+                          f"{n_ms_want} vs {n_ms}"))
+        cnt.append(_check("rooted-fraction", k, n, (k - 1) * n_rooted == n_ms,
+                          f"(k-1)*{n_rooted} vs {n_ms}"))
         total_returns = sum(catalan.returns_count(k, n, p) for p in range(1, n + 1))
         cnt.append(_check("returns-partition", k, n,
                           total_returns == catalan.gen_catalan(k, n)))
@@ -244,44 +346,32 @@ def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResu
             want = catalan.coeff_log_power(k, n, a)
             cnt.append(_check(f"field-egf-{a}", k, n, got == want,
                               f"{want} vs {got}"))
-    if not (bijections or statistics):
-        return out
 
     if bijections:
-        rooted = set(rooted_ms)
-        fields = [paths.decompose(p) for p in all_paths]
-        bij.append(_check_all("path-field-roundtrip", k, n, _counterexample(
-            lambda p, f: _valid(f) and paths.recompose(f) == p, all_paths, fields)))
-        n_images = len(set(fields))
-        del fields
+        # a roundtrip that holds for every input proves its map injective;
+        # only a failed one needs the images counted
+        n_images = n_paths
+        if "path-field-roundtrip" in first:
+            n_images = len({paths.decompose(p)
+                            for p in paths._labeled_paths(k, labels, max_count, False)})
+        forests_injective = "tree-forest-roundtrip" not in first or n_trees == len(
+            {trees.tree_to_forest(t) for t in trees._trees(k, labels, max_count)})
         total_fields = sum(n_fields)
+        bij.append(for_all("path-field-roundtrip"))
         bij.append(_check("path-field-bijective", k, n,
-                          n_images == len(all_paths) == total_fields,
-                          f"{len(all_paths)} paths, {n_images} images, "
-                          f"{total_fields} fields"))
-
-        forests = [trees.tree_to_forest(t) for t in all_trees]
-        bij.append(_check_all("tree-forest-roundtrip", k, n, _counterexample(
-            lambda t, f: _valid(f) and trees.forest_to_tree(f) == t, all_trees, forests)))
-        bij.append(_check("tree-forest-injective", k, n,
-                          len(set(forests)) == len(all_trees)))
-        bij.append(_check_all("forest-parts-root-minimal", k, n, _counterexample(
-            lambda t, f: all(trees.is_root_minimal(part) for part in f.parts),
-            all_trees, forests)))
-        del forests
-
-        cycled = [trees.to_cycle_rooted(t) for t in min_trees]
-        bad = _counterexample(lambda t, c: _valid(c) and trees.to_root_minimal(c) == t,
-                              min_trees, cycled)
-        if bad is None:
-            bad = _counterexample(
-                lambda c: trees.to_cycle_rooted(trees.to_root_minimal(c)) == c,
-                cycle_trees)
-        bij.append(_check_all("min-cycle-roundtrip", k, n, bad))
-        bij.append(_check_all("cycle-length-is-branch-length", k, n, _counterexample(
-            lambda t, c: len(c.cycle) == len(trees.rightmost_branch(t)),
-            min_trees, cycled)))
-        del cycled
+                          n_images == n_paths == total_fields,
+                          f"{n_paths} paths, {n_images} images, {total_fields} fields"))
+        bij.append(for_all("tree-forest-roundtrip"))
+        bij.append(_check("tree-forest-injective", k, n, forests_injective))
+        bij.append(for_all("forest-parts-root-minimal"))
+        bij.append(for_all("min-cycle-roundtrip"))
+        bij.append(for_all("cycle-length-is-branch-length"))
+        bij.append(for_all("ornament-multiset-roundtrip"))
+        bij.append(ornament_range.result("ornament-encoding-range"))
+        bij.append(for_all("cycle-tree-multiset-roundtrip"))
+        bij.append(tree_range.result("cycle-tree-encoding-range"))
+        bij.append(for_all("composed-correspondence-roundtrip"))
+        bij.append(for_all("rotation-class-constant"))
 
     if statistics:
         expected = {
@@ -289,68 +379,20 @@ def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResu
             for p in range(1, n + 1)
         }
         expected = {p: c for p, c in expected.items() if c}
-        touch_dist = dict(Counter(paths.touch_count(o) for o in ornaments))
-        cycle_dist = dict(Counter(len(c.cycle) for c in cycle_trees))
+        touch_dist, cycle_dist = dict(touch_dist), dict(cycle_dist)
         stat.append(_check("touch-distribution", k, n, touch_dist == expected,
                            f"{expected} vs {touch_dist}"))
         stat.append(_check("cycle-length-distribution", k, n,
                            cycle_dist == expected, f"{expected} vs {cycle_dist}"))
-        word_dist: Counter = Counter()
-        for p in all_paths:
-            word_dist[len(paths.diagonal_touches(p))] += 1
         labeled_expected = {p: factorial(n) * catalan.returns_count(k, n, p)
                             for p in range(1, n + 1)}
         labeled_expected = {p: c for p, c in labeled_expected.items() if c}
         stat.append(_check("labeled-touch-distribution", k, n,
                            dict(word_dist) == labeled_expected))
-        touch_labels = [{lab for _, lab in paths.diagonal_touches(o.rep)}
-                        for o in ornaments]
-
-    # the encodings are proven valid by their range checks, the carried
-    # trees are checked in the composed roundtrip; without the bijections
-    # suite, the first statistics check that reads each image checks it
-    encoded = [multisets.ornament_to_multiset(o) for o in ornaments]
-    if bijections:
-        bij.append(_check_all("ornament-multiset-roundtrip", k, n, _counterexample(
-            lambda o, m: multisets.multiset_to_ornament(m) == o, ornaments, encoded)))
-        bij.append(_range_check("ornament-encoding-range", k, n, encoded, rooted))
-    if statistics:
-        stat.append(_check_all("ornament-root-vertices", k, n, _counterexample(
-            lambda o, m, labels: (bijections or _valid(m))
-            and multisets.root_vertices(m) == labels,
-            ornaments, encoded, touch_labels)))
-
-    tree_codes = [multisets.cycle_tree_to_multiset(c) for c in cycle_trees]
-    if bijections:
-        bij.append(_check_all("cycle-tree-multiset-roundtrip", k, n, _counterexample(
-            lambda c, m: multisets.multiset_to_cycle_tree(m) == c,
-            cycle_trees, tree_codes)))
-        bij.append(_range_check("cycle-tree-encoding-range", k, n, tree_codes, rooted))
-    if statistics:
-        stat.append(_check_all("cycle-tree-root-vertices", k, n, _counterexample(
-            lambda c, m: (bijections or _valid(m))
-            and multisets.root_vertices(m) == set(c.cycle),
-            cycle_trees, tree_codes)))
-    del tree_codes
-
-    carried = [multisets.multiset_to_cycle_tree(m) for m in encoded]
-    del encoded
-    if bijections:
-        bij.append(_check_all("composed-correspondence-roundtrip", k, n, _counterexample(
-            lambda o, c: _valid(c) and multisets.cycle_tree_to_ornament(c) == o,
-            ornaments, carried)))
-    if statistics:
-        stat.append(_check_all("touch-labels-become-roots", k, n, _counterexample(
-            lambda o, c, labels: (bijections or _valid(c)) and set(c.cycle) == labels,
-            ornaments, carried, touch_labels)))
-        del touch_labels
-    del carried
-
-    if bijections:
-        bij.append(_check_all("rotation-class-constant", k, n, _counterexample(
-            lambda o: all(paths.to_ornament(q) == o for q in paths.rotations(o.rep)),
-            ornaments)))
-    return out
+        stat.append(for_all("ornament-root-vertices"))
+        stat.append(for_all("cycle-tree-root-vertices"))
+        stat.append(for_all("touch-labels-become-roots"))
+    return {"counts": cnt, "bijections": bij, "statistics": stat}
 
 
 def run_suite(

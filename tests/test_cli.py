@@ -387,8 +387,32 @@ class TestDeepCycleTree:
         assert code == 0
         lines = out.splitlines()
         assert len(lines) == 2 + 1 + self.K * deep
-        indents = [len(line) - len(line.lstrip()) for line in lines]
-        assert max(indents) == 2 * (self.DEPTH + 1)  # the deepest vertex's slots
+        depths = [int(line.split()[0]) for line in lines[3:]]
+        assert max(depths) == self.DEPTH + 1  # the deepest vertex's slots
+
+    def test_render_is_linear(self, capsys, deep):
+        code, out, _ = run(capsys, "render")
+        assert code == 0
+        # one short line per slot: the depth is a number, not an indent
+        assert len(out) < 16 * self.K * deep
+
+
+class TestHugOrnament:
+    """The path that touches the diagonal only at its origin: its cycle-rooted
+    tree hangs one chain as deep as the path is long."""
+
+    @pytest.mark.parametrize("k, n", [(3, 1071), (4, 1476)])
+    def test_to_cycle_tree_and_back(self, capsys, monkeypatch, k, n):
+        orn = serialize.dumps(to_ornament(GoodPath(k, "R" * n + "U" * ((k - 1) * n),
+                                                   tuple(range(1, n + 1)))))
+        feed(monkeypatch, orn)
+        code, tree, _ = run(capsys, "map", "--target", "cycle-tree")
+        assert code == 0
+        assert json.loads(tree)["cycle"] == [1]
+        feed(monkeypatch, tree)
+        code, back, _ = run(capsys, "map", "--target", "ornament")
+        assert code == 0
+        assert back.strip() == orn
 
 
 class TestSerialization:

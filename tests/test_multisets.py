@@ -1,6 +1,9 @@
+import gc
+
 import pytest
 from hypothesis import given, strategies as st
 
+from catlog._trusted import trusted
 from catlog.catalan import count_multisets, count_ornaments
 from catlog.errors import ResourceCapError
 from catlog.multisets import (
@@ -8,8 +11,10 @@ from catlog.multisets import (
     cycle_tree_to_multiset,
     cycle_tree_to_ornament,
     enumerate_multisets,
+    multiset_rank,
     multiset_to_cycle_tree,
     multiset_to_ornament,
+    multiset_unrank,
     ornament_to_cycle_tree,
     ornament_to_multiset,
     root_vertices,
@@ -27,6 +32,8 @@ from catlog.paths import (
 )
 from catlog.trees import CycleRootedTree, canonical_cycle, enumerate_cycle_rooted
 
+# the acceptance grid
+ACCEPTANCE = [(2, n) for n in range(1, 6)] + [(3, n) for n in range(1, 5)] + [(4, n) for n in range(1, 4)]
 GRID = [(2, n) for n in range(1, 5)] + [(3, n) for n in range(1, 4)] + [(4, 1), (4, 2)]
 
 
@@ -216,6 +223,47 @@ class TestEnumerate:
         assert enumerate_multisets(3, 2) == enumerate_multisets(3, 2)
 
 
+def stored(k, cycle, f):
+    """A multiset holding exactly these fields, unchecked."""
+    return trusted(CyclicMultiset, k=k, cycle=cycle, f=f, f_map=dict(f))
+
+
+class TestRank:
+    def test_ranks_fill_the_count_in_enumeration_order(self):
+        for k, n in ACCEPTANCE:
+            ranks = [multiset_rank(m) for m in enumerate_multisets(k, n)]
+            assert ranks == list(range(count_multisets(k, n))), (k, n)
+
+    def test_unrank_inverts_rank(self):
+        for k, n in ACCEPTANCE:
+            for r in range(count_multisets(k, n)):
+                assert multiset_rank(multiset_unrank(k, n, r)) == r, (k, n, r)
+
+    def test_unrank_range(self):
+        with pytest.raises(ValueError):
+            multiset_unrank(2, 3, count_multisets(2, 3))
+        with pytest.raises(ValueError):
+            multiset_unrank(2, 3, -1)
+
+    @pytest.mark.parametrize("m", [
+        stored(2, (2, 1), ((1, (1,)), (2, (1,)))),  # the cycle from label 2
+        stored(3, (1, 2), ((1, (1,)), (2, (1,)))),  # vectors of length k-2
+        stored(2, [1, 2], ((1, (1,)), (2, (1,)))),  # a list for the cycle
+        stored(2, (1, 2), ((1, [1]), (2, [1]))),  # lists for the vectors
+        stored(2, (1, 2), [(1, (1,)), (2, (1,))]),  # a list for f
+        stored(2, (1, 3), ((1, (1,)), (3, (1,)))),  # labels other than 1..n
+        stored(2, (1, 2), ((1, (2,)), (2, (1,)))),  # multiplicities summing past n
+        stored(2, (1, 2), ((1, (0,)), (2, (1,)))),  # multiplicities summing below n
+        stored(2, (1, 2), ((1, (-1,)), (2, (3,)))),  # a negative multiplicity
+        stored(2, (True, 2), ((1, (1,)), (2, (1,)))),  # a bool label
+        stored(2.0, (1, 2), ((1, (1,)), (2, (1,)))),  # a float k
+    ], ids=["rotated", "wrong-k", "list-cycle", "list-vectors", "list-f", "labels",
+            "sum-high", "sum-low", "negative", "bool-label", "float-k"])
+    def test_rejects_what_is_not_a_stored_multiset(self, m):
+        with pytest.raises(ValueError):
+            multiset_rank(m)
+
+
 class TestOrnamentEncoding:
     def test_alternating(self):
         o = to_ornament(GoodPath(2, "RURU", (1, 2)))
@@ -305,6 +353,17 @@ class TestTreeEncoding:
                 assert cycle_tree_to_multiset(multiset_to_cycle_tree(m)) == m
             for c in enumerate_cycle_rooted(k, n):
                 assert multiset_to_cycle_tree(cycle_tree_to_multiset(c)) == c
+
+    def test_decode_leaves_no_reference_cycle(self):
+        rooted = enumerate_multisets(2, 4, True)
+        gc.collect()
+        gc.disable()
+        try:
+            for m in rooted:
+                multiset_to_cycle_tree(m)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestRangeEquality:

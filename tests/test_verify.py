@@ -5,6 +5,7 @@ of one report."""
 import hashlib
 import io
 import json
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -38,6 +39,19 @@ def test_pinned_report_bytes(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_ALL_2_3_4
+
+
+def test_a_grid_point_holds_no_structure_list():
+    """Each pass keeps counts, first counterexamples and rank maps; holding
+    the structures and images of the (2, 5) point took 18.5 MB."""
+    verify._grid_structures.cache_clear()
+    tracemalloc.start()
+    try:
+        assert run_suite("all", [2], 5).overall
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 # -- each suite builds only its own images --------------------------------------
@@ -76,9 +90,9 @@ def test_statistics_builds_no_bijections_only_images(monkeypatch):
                                         ("statistics", lambda n: 0)],
                          ids=["all", "counts", "statistics"])
 def test_fields_counted_once_up_to_the_largest_part_count_read(monkeypatch, suite, top):
-    calls = _calls(monkeypatch, [(paths, "enumerate_fields")])
+    calls = _calls(monkeypatch, [(paths, "_fields")])
     run_suite(suite, [2], 4)
-    assert calls == {("enumerate_fields", 2, n, a, DEFAULT_MAX_ENUMERATION): 1
+    assert calls == {("_fields", 2, n, a, DEFAULT_MAX_ENUMERATION): 1
                      for n in range(1, 5) for a in range(1, top(n) + 1)}
 
 
@@ -360,3 +374,10 @@ def test_an_invalid_image_fails_the_check_that_reads_it(monkeypatch, capsys, whi
             assert got[(check, K, N)] == serialize.dumps(witness)
         failed.update(got)
     assert _replayed(monkeypatch, capsys, failed) > 0
+
+
+@pytest.mark.parametrize("which", ["ornament_to_multiset", "cycle_tree_to_multiset"])
+def test_rank_rejects_an_invalid_encoding(which):
+    _, image, _ = INVALID_IMAGES[which][2]()
+    with pytest.raises(ValueError):
+        multisets.multiset_rank(image)
