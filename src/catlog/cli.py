@@ -12,7 +12,9 @@ success, 1 when a verification suite fails, 2 on usage or input errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import itertools
 import json
 import sys
 
@@ -20,22 +22,18 @@ from . import catalan, multisets, paths, render, serialize, trees, verify
 from .arith import format_rational
 from .errors import DEFAULT_MAX_ENUMERATION, ResourceCapError
 
-# enumerable structures: name -> (k, n, max_count) -> list
+# enumerable structures: name -> (k, n, max_count) -> the structures, one at a time
 _ENUMERATORS = {
-    "paths": lambda k, n, cap: paths.enumerate_paths(k, range(1, n + 1), cap),
-    "minimal-paths": lambda k, n, cap: paths.enumerate_minimal_paths(
-        k, range(1, n + 1), cap
-    ),
-    "ornaments": paths.enumerate_ornaments,
-    "trees": lambda k, n, cap: trees.enumerate_trees(k, range(1, n + 1), cap),
-    "minimal-trees": lambda k, n, cap: [
-        t
-        for t in trees.enumerate_trees(k, range(1, n + 1), cap)
-        if trees.is_root_minimal(t)
-    ],
-    "cycle-trees": trees.enumerate_cycle_rooted,
-    "multisets": lambda k, n, cap: multisets.enumerate_multisets(k, n, False, cap),
-    "rooted-multisets": lambda k, n, cap: multisets.enumerate_multisets(k, n, True, cap),
+    "paths": lambda k, n, cap: paths._labeled_paths(k, range(1, n + 1), cap, False),
+    "minimal-paths": lambda k, n, cap: paths._labeled_paths(k, range(1, n + 1), cap, True),
+    "ornaments": paths._ornaments,
+    "trees": lambda k, n, cap: trees._trees(k, range(1, n + 1), cap),
+    "minimal-trees": lambda k, n, cap: filter(
+        trees.is_root_minimal, trees._trees(k, range(1, n + 1), cap)),
+    "cycle-trees": trees._cycle_rooted,
+    "multisets": multisets._multisets,
+    "rooted-multisets": lambda k, n, cap: filter(
+        multisets.root_vertices, multisets._multisets(k, n, cap)),
 }
 STRUCTURES = tuple(_ENUMERATORS)
 
@@ -82,12 +80,16 @@ def _read_input(args) -> str:
     return sys.stdin.read()
 
 
-def _emit(text: str, args) -> None:
+def _sink(args):
+    """The --output file opened for writing, or stdout left open."""
     if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        return open(args.output, "w", encoding="utf-8")
+    return contextlib.nullcontext(sys.stdout)
+
+
+def _emit(text: str, args) -> None:
+    with _sink(args) as out:
+        out.write(text)
 
 
 def cmd_coeff(args) -> int:
@@ -113,17 +115,16 @@ def cmd_coeff(args) -> int:
 
 def cmd_enumerate(args) -> int:
     max_count = None if args.force else DEFAULT_MAX_ENUMERATION
-    items = _ENUMERATORS[args.structure](args.k, args.n, max_count)
-    lines = [serialize.dumps(x) for x in items]
-    summary = {
-        "kind": "summary",
-        "structure": args.structure,
-        "k": args.k,
-        "n": args.n,
-        "count": len(items),
-    }
-    lines.append(json.dumps(summary, separators=(",", ":")))
-    _emit("\n".join(lines) + "\n", args)
+    items = iter(_ENUMERATORS[args.structure](args.k, args.n, max_count))
+    # a refused enumeration raises on the first pull, before any output
+    head = list(itertools.islice(items, 1))
+    with _sink(args) as out:
+        count = 0
+        for count, x in enumerate(itertools.chain(head, items), 1):
+            out.write(serialize.dumps(x) + "\n")
+        summary = {"kind": "summary", "structure": args.structure, "k": args.k,
+                   "n": args.n, "count": count}
+        out.write(json.dumps(summary, separators=(",", ":")) + "\n")
     return 0
 
 

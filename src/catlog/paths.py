@@ -314,27 +314,32 @@ def _set_partitions(items: list[int], blocks: int):
 
 
 def _fields(k: int, n: int, parts: int, max_count):
-    """The minimal fields on labels 1..n with exactly `parts` parts, by set
-    partition of the labels, then by the paths on each block."""
+    """The minimal fields on labels 1..n with exactly `parts` parts in
+    enumerate_fields order, one at a time."""
     if k < 2 or n < 1 or parts < 1:
         raise ValueError("enumerate_fields needs k >= 2, n >= 1, parts >= 1")
     if parts > n:
         return
     predicted = factorial(n) * catalan.coeff_log_power(k, n, parts) / factorial(parts)
     check_cap(int(predicted), max_count, "minimal fields")
+
+    def choices(blocks):  # one path per block, each block re-walked per earlier choice
+        if not blocks:
+            yield ()
+            return
+        for p in _labeled_paths(k, blocks[0], max_count, True):
+            for rest in choices(blocks[1:]):
+                yield (p, *rest)
+
     for partition in _set_partitions(list(range(1, n + 1)), parts):
-        pools = [enumerate_minimal_paths(k, block, max_count) for block in partition]
-        for combo in itertools.product(*pools):
-            yield trusted(MinimalField, parts=frozenset(combo))
+        for choice in choices(partition):
+            yield trusted(MinimalField, parts=frozenset(choice))
 
 
 def enumerate_fields(
     k: int, n: int, parts: int, max_count: int | None = DEFAULT_MAX_ENUMERATION
 ) -> list[MinimalField]:
-    """All minimal fields on labels 1..n with exactly `parts` parts.
-
-    Built as set partitions of the labels crossed with the label-minimal
-    paths on each block; empty when parts > n.
-    """
-    return sorted(_fields(k, n, parts, max_count),
-                  key=lambda f: tuple(sorted((p.steps, p.labels) for p in f.parts)))
+    """All minimal fields on labels 1..n with exactly `parts` parts (none
+    when parts > n): by set partition of the labels, then by the
+    label-minimal paths of each block in enumerate_paths order."""
+    return list(_fields(k, n, parts, max_count))

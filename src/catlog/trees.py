@@ -9,7 +9,6 @@ and bending it into a cycle yields a cycle-rooted tree.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from . import catalan
@@ -32,11 +31,6 @@ def canonical_cycle(seq) -> tuple[int, ...]:
     if not seq:
         raise ValueError("empty cycle")
     return _rotated(seq, min(seq))
-
-
-def _slots_key(slots: Slots):
-    """Sort key for slot tables; vacancies order before occupants."""
-    return tuple((v, tuple(-1 if c is None else c for c in row)) for v, row in slots)
 
 
 def _check_cycle(cycle) -> tuple[int, ...]:
@@ -205,39 +199,54 @@ def is_root_minimal(t: PlaneTree) -> bool:
     return t.root == min(rightmost_branch(t))
 
 
-def _slot_tables(k: int, verts: tuple[int, ...], root: int, open_slots: tuple[int, ...]):
-    """Slot tables of all plane trees on `verts` rooted at `root`, the root
-    using only the 0-based `open_slots`; deeper vertices use all k slots."""
-    rest = tuple(v for v in verts if v != root)
-    if not rest:
-        yield {root: (None,) * k}
-        return
-    all_slots = tuple(range(k))
-    for assign in itertools.product(open_slots, repeat=len(rest)):
-        blocks: dict[int, list[int]] = {}
-        for v, q in zip(rest, assign):
-            blocks.setdefault(q, []).append(v)
-        options = []
-        for q in sorted(blocks):
-            block = tuple(blocks[q])
-            opts = []
-            for child in block:
-                for sub in _slot_tables(k, block, child, all_slots):
-                    opts.append((q, child, sub))
-            options.append(opts)
-        for combo in itertools.product(*options):
-            row: list[int | None] = [None] * k
-            table: Table = {}
-            for q, child, sub in combo:
-                row[q] = child
-                table.update(sub)
-            table[root] = tuple(row)
-            yield table
+def _slot_search(k: int, labels: tuple[int, ...], roots, hold_rightmost: bool):
+    """The slot tables, by increasing vertex, of every k-ary forest on the
+    sorted `labels` whose roots are `roots`, sorted by their rows read in
+    vertex order with a vacancy before any occupant; `hold_rightmost`
+    keeps the roots' rightmost slots vacant.
+
+    Backtracking over the open slots in that order, in O(nk) state: a slot
+    tries vacancy, unless the slots left could not hold every unplaced
+    vertex, then each unplaced non-root vertex in increasing order but the
+    top of its row's chain of parents, which would close a cycle."""
+    n = len(labels)
+    parent = [-2 if v in roots else -1 for v in labels]  # -2 a root, -1 unplaced
+    open_at = [i * k + q for i in range(n) for q in range(k)
+               if not (hold_rightmost and parent[i] == -2 and q == k - 1)]
+    out: list[int | None] = [None] * (n * k)  # the rows, one after another
+    choice = [-2] * (len(open_at) + 1)  # -2 untried, -1 vacant, else a vertex index
+    pos = 0
+    while pos >= 0:
+        c = choice[pos]
+        if c >= 0:  # take back the vertex placed here
+            parent[c] = -1
+        elif c == -2 and -1 not in parent:  # a table: the slots left stay vacant
+            yield dict(zip(labels, zip(*[iter(out)] * k)))
+            pos -= 1
+            continue
+        elif c == -2 and parent.count(-1) < len(open_at) - pos:  # room stays for the rest
+            choice[pos] = -1
+            pos += 1
+            continue
+        top = row = open_at[pos] // k
+        while parent[top] >= 0:
+            top = parent[top]
+        for c in range(c + 1 if c >= 0 else 0, n):
+            if parent[c] == -1 and c != top:
+                break
+        else:  # no vertex is left to try here: vacant and untried again
+            choice[pos] = -2
+            out[open_at[pos]] = None
+            pos -= 1
+            continue
+        parent[c] = row
+        choice[pos] = c
+        out[open_at[pos]] = labels[c]
+        pos += 1
 
 
 def _trees(k: int, labels, max_count):
-    """The plane k-ary trees on a label set, root by root, in the order the
-    slot tables are built."""
+    """The plane k-ary trees on a label set in enumerate_trees order."""
     base = sorted(labels)
     if len(set(base)) != len(base):
         raise ValueError("label set contains duplicates")
@@ -245,15 +254,16 @@ def _trees(k: int, labels, max_count):
         raise ValueError("enumerate_trees needs k >= 2 and a nonempty label set")
     check_cap(catalan.count_paths(k, len(base)), max_count, "plane trees")
     for root in base:
-        for table in _slot_tables(k, tuple(base), root, tuple(range(k))):
+        for table in _slot_search(k, tuple(base), (root,), False):
             yield PlaneTree(k, root, table)
 
 
 def enumerate_trees(
     k: int, labels, max_count: int | None = DEFAULT_MAX_ENUMERATION
 ) -> list[PlaneTree]:
-    """Every plane k-ary tree on the given label set, any root, in a fixed order."""
-    return sorted(_trees(k, labels, max_count), key=lambda t: (t.root, _slots_key(t.slots)))
+    """Every plane k-ary tree on the given label set, any root: by root,
+    then by the rows read in vertex order, a vacancy before any occupant."""
+    return list(_trees(k, labels, max_count))
 
 
 def tree_to_forest(t: PlaneTree) -> RootMinimalForest:
@@ -308,39 +318,23 @@ def to_root_minimal(c: CycleRootedTree) -> PlaneTree:
 
 
 def _cycle_rooted(k: int, n: int, max_count):
-    """The cycle-rooted trees on labels 1..n, built directly from the
-    definition: choose the root set and its cyclic order, distribute the
-    other vertices, and hang a subtree off each root's first k-1 slots."""
+    """The cycle-rooted trees on labels 1..n in enumerate_cycle_rooted
+    order: each cycle, minimal label first, as the roots of the slot search."""
     if k < 2 or n < 1:
         raise ValueError("enumerate_cycle_rooted needs k >= 2 and n >= 1")
     check_cap(catalan.count_ornaments(k, n), max_count, "cycle-rooted trees")
-    verts = tuple(range(1, n + 1))
-    hanging_slots = tuple(range(k - 1))
-    for size in range(1, n + 1):
-        for chosen in itertools.combinations(verts, size):
-            for order in itertools.permutations(chosen[1:]):
-                cycle = (chosen[0],) + order
-                rest = [v for v in verts if v not in chosen]
-                for assign in itertools.product(range(size), repeat=len(rest)):
-                    groups: dict[int, list[int]] = {r: [r] for r in cycle}
-                    for v, gi in zip(rest, assign):
-                        groups[cycle[gi]].append(v)
-                    per_root = [
-                        list(
-                            _slot_tables(k, tuple(sorted(groups[r])), r, hanging_slots)
-                        )
-                        for r in cycle
-                    ]
-                    for combo in itertools.product(*per_root):
-                        table: Table = {}
-                        for sub in combo:
-                            table.update(sub)
-                        yield CycleRootedTree(k, cycle, table)
+    labels = tuple(range(1, n + 1))
+    stack = [(v,) for v in reversed(labels)]
+    while stack:  # the cycles in tuple order: each before its extensions
+        cycle = stack.pop()
+        stack += [cycle + (v,) for v in range(n, cycle[0], -1) if v not in cycle]
+        for table in _slot_search(k, labels, cycle, True):
+            yield CycleRootedTree(k, cycle, table)
 
 
 def enumerate_cycle_rooted(
     k: int, n: int, max_count: int | None = DEFAULT_MAX_ENUMERATION
 ) -> list[CycleRootedTree]:
-    """Every cycle-rooted tree on labels 1..n, sorted by cycle, then by slot
-    table."""
-    return sorted(_cycle_rooted(k, n, max_count), key=lambda c: (c.cycle, _slots_key(c.slots)))
+    """Every cycle-rooted tree on labels 1..n, by cycle tuple, then by the
+    rows read in vertex order as in enumerate_trees."""
+    return list(_cycle_rooted(k, n, max_count))

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -145,6 +146,29 @@ class TestEnumerate:
                            "--k", "2", "--n", "12")
         assert code == 2
         assert "cap" in err
+
+    def test_cap_refusal_creates_no_output_file(self, capsys, tmp_path):
+        dst = tmp_path / "paths.jsonl"
+        code, out, err = run(capsys, "enumerate", "--structure", "paths",
+                             "--k", "2", "--n", "12", "--output", str(dst))
+        assert code == 2 and "cap" in err and out == ""
+        assert not dst.exists()
+
+    def test_streams_in_flat_memory(self, tmp_path):
+        """One structure at a time: holding the 3,024 cycle-rooted trees
+        of (2, 5) and their JSON lines took 5 MB."""
+        dst = tmp_path / "cycle-trees.jsonl"
+        tracemalloc.start()
+        try:
+            code = main(["enumerate", "--structure", "cycle-trees", "--k", "2", "--n", "5",
+                         "--output", str(dst)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        lines = dst.read_text().splitlines()
+        assert code == 0 and len(lines) == 3025
+        assert json.loads(lines[-1])["count"] == 3024
+        assert peak < 1_000_000
 
     def test_every_structure_runs(self, capsys):
         for structure in ENUMERATED:

@@ -268,3 +268,32 @@ class TestEnumerateCycleRooted:
 
     def test_deterministic(self):
         assert enumerate_cycle_rooted(2, 3) == enumerate_cycle_rooted(2, 3)
+
+
+def _rows_key(slots):
+    """The rows in vertex order, a vacancy read as -1 so that it sorts
+    before any occupant."""
+    return tuple((v, tuple(-1 if c is None else c for c in row)) for v, row in slots)
+
+
+class TestPublicOrder:
+    """The search yields each picture already sorted: plane trees by root,
+    then rows; cycle-rooted trees by cycle tuple, then rows."""
+
+    @pytest.mark.parametrize("k, n", GRID, ids=[f"k{k}-n{n}" for k, n in GRID])
+    def test_trees_come_sorted(self, k, n):
+        got = enumerate_trees(k, range(1, n + 1))
+        assert len(got) == count_paths(k, n)
+        assert got == sorted(got, key=lambda t: (t.root, _rows_key(t.slots)))
+
+    @pytest.mark.parametrize("k, n", GRID, ids=[f"k{k}-n{n}" for k, n in GRID])
+    def test_cycle_trees_come_sorted(self, k, n):
+        got = enumerate_cycle_rooted(k, n)
+        assert len(got) == count_ornaments(k, n)
+        assert got == sorted(got, key=lambda c: (c.cycle, _rows_key(c.slots)))
+
+    def test_labels_need_not_be_consecutive(self):
+        got = enumerate_trees(3, [20, 3, 10])
+        assert len(got) == count_paths(3, 3)
+        assert got == sorted(got, key=lambda t: (t.root, _rows_key(t.slots)))
+        assert {t.root for t in got} == {3, 10, 20}
