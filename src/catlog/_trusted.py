@@ -12,9 +12,9 @@ def trusted(cls, **fields):
     sorted by vertex, the dict and the pairs holding the same rows; the
     cycle starting at its minimal label; the parts of a field or forest
     as a frozenset.
-    Nothing is checked here. The enumerators and bijections that call it
-    build only valid structures, and the verify suites and the tests
-    compare their outputs with public-constructor rebuilds.
+    Nothing is checked here: the enumerators check their arguments on
+    entry, they and the bijections build only valid structures, and the
+    verify suites and the tests compare those with public rebuilds.
     """
     obj = object.__new__(cls)
     for name, value in fields.items():  # as __init__ does: no per-instance dict

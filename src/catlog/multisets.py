@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 from . import catalan
 from ._trusted import trusted
-from .errors import DEFAULT_MAX_ENUMERATION, check_cap
+from .errors import DEFAULT_MAX_ENUMERATION, check_cap, check_size
 from .paths import GoodPath, Ornament
 from .trees import CycleRootedTree, _check_cycle, _rotated, canonical_cycle, slot_walk
 
@@ -141,33 +141,24 @@ def _weak_compositions(total: int, parts: int):
 
 def _multisets(k: int, n: int, max_count):
     """The cyclically ordered multisets on labels 1..n in enumerate_multisets
-    order, which is the order of their ranks."""
-    if k < 2 or n < 1:
-        raise ValueError("enumerate_multisets needs k >= 2 and n >= 1")
+    order, which is the order of their ranks: the arguments checked once,
+    on entry, each multiset built by `trusted`."""
+    check_size("enumerate_multisets needs k >= 2 and n >= 1", k, n)
     check_cap(catalan.count_multisets(k, n), max_count, "cyclic multisets")
-    labels = tuple(range(1, n + 1))
-    width = k - 1
-    for rest in itertools.permutations(labels[1:]):
-        cycle = (1,) + rest
-        for comp in _weak_compositions(n, n * width):
-            yield CyclicMultiset(
-                k,
-                cycle,
-                {v: comp[(v - 1) * width : v * width] for v in labels},
-            )
+    for rest in itertools.permutations(range(2, n + 1)):
+        for comp in _weak_compositions(n, n * (k - 1)):  # k-1 entries per label
+            f_map = dict(zip(range(1, n + 1), zip(*[iter(comp)] * (k - 1))))
+            yield trusted(CyclicMultiset, k=k, cycle=(1, *rest), f=tuple(f_map.items()),
+                          f_map=f_map)
 
 
 def enumerate_multisets(
-    k: int,
-    n: int,
-    rooted_only: bool = False,
-    max_count: int | None = DEFAULT_MAX_ENUMERATION,
+    k: int, n: int, max_count: int | None = DEFAULT_MAX_ENUMERATION
 ) -> list[CyclicMultiset]:
-    """All cyclically ordered multisets on labels 1..n, or only those with
-    root vertices, in a fixed order: the cycles after label 1
-    lexicographically, then the multiplicities read label by label
-    lexicographically."""
-    return [m for m in _multisets(k, n, max_count) if not rooted_only or root_vertices(m)]
+    """All cyclically ordered multisets on labels 1..n in a fixed order: the
+    cycles after label 1 lexicographically, then the multiplicities read
+    label by label lexicographically."""
+    return list(_multisets(k, n, max_count))
 
 
 def _compositions(total: int, parts: int) -> int:

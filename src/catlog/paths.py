@@ -17,12 +17,13 @@ here:
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from . import catalan
 from ._trusted import trusted
 from .arith import factorial
-from .errors import DEFAULT_MAX_ENUMERATION, check_cap
+from .errors import DEFAULT_MAX_ENUMERATION, check_cap, check_labels, check_size
 
 
 def is_good(k: int, steps: str) -> bool:
@@ -160,30 +161,19 @@ def _good_words(k: int, n: int):
 
 def _labeled_paths(k: int, labels, max_count, minimal: bool):
     """The labeled good paths on a label set in enumerate_paths order, or
-    only the label-minimal ones.
-
-    The arguments and the cap are checked once. The first labeling of
-    each word, by the sorted labels, goes through the public constructor,
-    which checks the word and the labels; the word's other labelings reuse
-    both. A labeling is label-minimal when its first label undercuts the
-    labels at the word's other touch positions, so with `minimal` only
-    those labelings are built: 1 in p for a word with p touches.
-    """
-    base = sorted(labels)
-    if len(set(base)) != len(base):
-        raise ValueError("label set contains duplicates")
-    if k < 2 or not base:
-        raise ValueError("enumerate_paths needs k >= 2 and a nonempty label set")
+    only the label-minimal ones: the arguments checked once, on entry,
+    each path built by `trusted`. Each word takes the permutations of the
+    sorted labels lazily, in lexicographic order; with `minimal` it keeps
+    those whose first label undercuts the labels at its other touches."""
+    base = check_labels(k, labels, "enumerate_paths")
     check_cap(catalan.count_paths(k, len(base)), max_count, "good paths")
-    perms = list(itertools.permutations(base))
     for word in _good_words(k, len(base)):
-        first = GoodPath(k, word, perms[0])
-        yield first
-        rest = perms[1:]
-        if minimal:
-            touches = [h // (k - 1) for h, _ in diagonal_touches(first)][1:]
-            rest = [q for q in rest if all(q[0] < q[j] for j in touches)]
-        for q in rest:
+        labelings = itertools.permutations(base)
+        if minimal:  # q[0], then q at every touch, height 0 included
+            touches = diagonal_touches(trusted(GoodPath, k=k, steps=word, labels=base))
+            at_touches = operator.itemgetter(0, *(h // (k - 1) for h, _ in touches))
+            labelings = filter(lambda q: min(at_touches(q)) == q[0], labelings)
+        for q in labelings:
             yield trusted(GoodPath, k=k, steps=word, labels=q)
 
 
@@ -277,6 +267,7 @@ def touch_count(o: Ornament) -> int:
 
 def _ornaments(k: int, n: int, max_count):
     """The ornaments on labels 1..n in enumerate_ornaments order."""
+    check_size("enumerate_paths needs k >= 2 and a nonempty label set", k, n)
     for p in _labeled_paths(k, range(1, n + 1), max_count, True):
         yield trusted(Ornament, rep=p)
 
@@ -316,8 +307,7 @@ def _set_partitions(items: list[int], blocks: int):
 def _fields(k: int, n: int, parts: int, max_count):
     """The minimal fields on labels 1..n with exactly `parts` parts in
     enumerate_fields order, one at a time."""
-    if k < 2 or n < 1 or parts < 1:
-        raise ValueError("enumerate_fields needs k >= 2, n >= 1, parts >= 1")
+    check_size("enumerate_fields needs k >= 2, n >= 1, parts >= 1", k, n, parts)
     if parts > n:
         return
     predicted = factorial(n) * catalan.coeff_log_power(k, n, parts) / factorial(parts)

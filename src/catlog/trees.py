@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from . import catalan
 from ._trusted import trusted
-from .errors import DEFAULT_MAX_ENUMERATION, check_cap
+from .errors import DEFAULT_MAX_ENUMERATION, check_cap, check_labels, check_size
 
 Slots = tuple[tuple[int, tuple[int | None, ...]], ...]
 Table = dict[int, tuple[int | None, ...]]
@@ -200,10 +200,10 @@ def is_root_minimal(t: PlaneTree) -> bool:
 
 
 def _slot_search(k: int, labels: tuple[int, ...], roots, hold_rightmost: bool):
-    """The slot tables, by increasing vertex, of every k-ary forest on the
-    sorted `labels` whose roots are `roots`, sorted by their rows read in
-    vertex order with a vacancy before any occupant; `hold_rightmost`
-    keeps the roots' rightmost slots vacant.
+    """The slot tables, as the constructors store them, of every k-ary
+    forest on the sorted `labels` whose roots are `roots`, sorted by
+    their rows read in vertex order with a vacancy before any occupant;
+    `hold_rightmost` keeps the roots' rightmost slots vacant.
 
     Backtracking over the open slots in that order, in O(nk) state: a slot
     tries vacancy, unless the slots left could not hold every unplaced
@@ -246,16 +246,14 @@ def _slot_search(k: int, labels: tuple[int, ...], roots, hold_rightmost: bool):
 
 
 def _trees(k: int, labels, max_count):
-    """The plane k-ary trees on a label set in enumerate_trees order."""
-    base = sorted(labels)
-    if len(set(base)) != len(base):
-        raise ValueError("label set contains duplicates")
-    if k < 2 or not base:
-        raise ValueError("enumerate_trees needs k >= 2 and a nonempty label set")
+    """The plane k-ary trees on a label set in enumerate_trees order: the
+    arguments checked once, on entry, each tree built by `trusted`."""
+    base = check_labels(k, labels, "enumerate_trees")
     check_cap(catalan.count_paths(k, len(base)), max_count, "plane trees")
     for root in base:
-        for table in _slot_search(k, tuple(base), (root,), False):
-            yield PlaneTree(k, root, table)
+        for table in _slot_search(k, base, (root,), False):
+            yield trusted(PlaneTree, k=k, root=root, slots=tuple(table.items()),
+                          slot_map=table)
 
 
 def enumerate_trees(
@@ -319,9 +317,9 @@ def to_root_minimal(c: CycleRootedTree) -> PlaneTree:
 
 def _cycle_rooted(k: int, n: int, max_count):
     """The cycle-rooted trees on labels 1..n in enumerate_cycle_rooted
-    order: each cycle, minimal label first, as the roots of the slot search."""
-    if k < 2 or n < 1:
-        raise ValueError("enumerate_cycle_rooted needs k >= 2 and n >= 1")
+    order: each cycle, minimal label first, as the roots of the slot search;
+    the arguments checked once, on entry, each tree built by `trusted`."""
+    check_size("enumerate_cycle_rooted needs k >= 2 and n >= 1", k, n)
     check_cap(catalan.count_ornaments(k, n), max_count, "cycle-rooted trees")
     labels = tuple(range(1, n + 1))
     stack = [(v,) for v in reversed(labels)]
@@ -329,7 +327,8 @@ def _cycle_rooted(k: int, n: int, max_count):
         cycle = stack.pop()
         stack += [cycle + (v,) for v in range(n, cycle[0], -1) if v not in cycle]
         for table in _slot_search(k, labels, cycle, True):
-            yield CycleRootedTree(k, cycle, table)
+            yield trusted(CycleRootedTree, k=k, cycle=cycle, slots=tuple(table.items()),
+                          slot_map=table)
 
 
 def enumerate_cycle_rooted(

@@ -81,7 +81,7 @@ def cycle_trees_on(k, n):
 
 @lru_cache(maxsize=None)
 def multisets_on(k, n):
-    return tuple(enumerate_multisets(k, n, False))
+    return tuple(enumerate_multisets(k, n))
 
 
 @lru_cache(maxsize=None)

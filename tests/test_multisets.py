@@ -41,6 +41,10 @@ def ms(k, cycle, f):
     return CyclicMultiset(k, cycle, f)
 
 
+def rooted_multisets(k, n):
+    return [m for m in enumerate_multisets(k, n) if root_vertices(m)]
+
+
 def roots_by_definition(m):
     """Root vertices straight from the segment definition."""
     return {
@@ -198,18 +202,18 @@ class TestRootVertices:
 
 class TestEnumerate:
     def test_binary_all_are_rooted(self):
-        assert len(enumerate_multisets(2, 2, False)) == 3
-        assert len(enumerate_multisets(2, 2, True)) == 3
+        assert len(enumerate_multisets(2, 2)) == 3
+        assert len(rooted_multisets(2, 2)) == 3
 
     def test_ternary_fraction(self):
-        everything = enumerate_multisets(3, 2, False)
-        rooted = enumerate_multisets(3, 2, True)
+        everything = enumerate_multisets(3, 2)
+        rooted = rooted_multisets(3, 2)
         assert len(everything) == 10
         assert len(rooted) == 5
 
     def test_counts_on_grid(self):
         for k, n in GRID:
-            everything = enumerate_multisets(k, n, False)
+            everything = enumerate_multisets(k, n)
             rooted = [m for m in everything if root_vertices(m)]
             assert len(everything) == count_multisets(k, n), (k, n)
             assert len(rooted) == count_ornaments(k, n), (k, n)
@@ -306,12 +310,12 @@ class TestOrnamentEncoding:
 
     def test_decode_is_label_minimal(self):
         for k, n in GRID:
-            for m in enumerate_multisets(k, n, True):
+            for m in rooted_multisets(k, n):
                 assert is_label_minimal(multiset_to_ornament(m).rep)
 
     def test_roundtrip(self):
         for k, n in GRID:
-            for m in enumerate_multisets(k, n, True):
+            for m in rooted_multisets(k, n):
                 assert ornament_to_multiset(multiset_to_ornament(m)) == m
             for o in enumerate_ornaments(k, n):
                 assert multiset_to_ornament(ornament_to_multiset(o)) == o
@@ -349,13 +353,13 @@ class TestTreeEncoding:
 
     def test_roundtrip(self):
         for k, n in GRID:
-            for m in enumerate_multisets(k, n, True):
+            for m in rooted_multisets(k, n):
                 assert cycle_tree_to_multiset(multiset_to_cycle_tree(m)) == m
             for c in enumerate_cycle_rooted(k, n):
                 assert multiset_to_cycle_tree(cycle_tree_to_multiset(c)) == c
 
     def test_decode_leaves_no_reference_cycle(self):
-        rooted = enumerate_multisets(2, 4, True)
+        rooted = rooted_multisets(2, 4)
         gc.collect()
         gc.disable()
         try:
@@ -369,7 +373,7 @@ class TestTreeEncoding:
 class TestRangeEquality:
     def test_images_coincide_with_rooted_multisets(self):
         for k, n in GRID:
-            rooted = set(enumerate_multisets(k, n, True))
+            rooted = set(rooted_multisets(k, n))
             via_paths = {ornament_to_multiset(o) for o in enumerate_ornaments(k, n)}
             via_trees = {cycle_tree_to_multiset(c) for c in enumerate_cycle_rooted(k, n)}
             assert via_paths == rooted, (k, n)

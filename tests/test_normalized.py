@@ -18,6 +18,7 @@ from catlog.multisets import (
     multiset_to_ornament,
     ornament_to_cycle_tree,
     ornament_to_multiset,
+    root_vertices,
 )
 from catlog.paths import (
     GoodPath,
@@ -45,6 +46,8 @@ from catlog.trees import (
 )
 
 GRID = [(2, n) for n in range(1, 6)] + [(3, n) for n in range(1, 5)] + [(4, n) for n in range(1, 4)]
+# the enumerators also at wider slot rows and longer multiplicity vectors
+WIDE = GRID + [(5, n) for n in range(1, 4)] + [(6, 1), (6, 2)]
 
 
 def rebuilt(x):
@@ -82,7 +85,7 @@ def assert_normalized(x) -> None:
     assert serialize.loads(serialize.dumps(x)) == x
 
 
-@pytest.mark.parametrize("k, n", GRID)
+@pytest.mark.parametrize("k, n", WIDE)
 def test_enumerator_outputs(k, n):
     for enumerate_ in _ENUMERATORS.values():
         for x in enumerate_(k, n, None):
@@ -99,7 +102,7 @@ def bijection_outputs_on_grid(k, n):
         yield from (f, recompose(f), to_ornament(p))
     for o in enumerate_ornaments(k, n):  # the rotations list every path once
         yield from (ornament_to_multiset(o), *rotations(o.rep))
-    for m in enumerate_multisets(k, n, rooted_only=True):
+    for m in [m for m in enumerate_multisets(k, n) if root_vertices(m)]:
         yield from (multiset_to_ornament(m), multiset_to_cycle_tree(m))
     for c in enumerate_cycle_rooted(k, n):
         yield to_root_minimal(c)

@@ -6,6 +6,7 @@ import pytest
 from catlog.arith import factorial
 from catlog.catalan import coeff_log_power, count_ornaments, count_paths, returns_count
 from catlog.errors import ResourceCapError
+from catlog.multisets import enumerate_multisets
 from catlog.paths import (
     GoodPath,
     MinimalField,
@@ -23,6 +24,7 @@ from catlog.paths import (
     to_ornament,
     touch_count,
 )
+from catlog.trees import enumerate_cycle_rooted, enumerate_trees
 
 GRID = [(2, n) for n in range(1, 6)] + [(3, n) for n in range(1, 5)] + [(4, n) for n in range(1, 4)]
 
@@ -270,6 +272,34 @@ def reference_paths(k, labels):
             for q in itertools.permutations(base)]
 
 
+def range_of(n):
+    return range(1, n + 1)
+
+
+def fields_of_one_part(k, n, max_count=10**7):
+    return enumerate_fields(k, n, 1, max_count)
+
+
+# each public enumerator, its size argument from n, its refusal of size 0
+# and of a k that is not an int >= 2, and the cap message at size 5
+ENTRY_CHECKS = [
+    (enumerate_paths, range_of, "enumerate_paths needs k >= 2 and a nonempty label set",
+     "good paths: 5040"),
+    (enumerate_minimal_paths, range_of,
+     "enumerate_paths needs k >= 2 and a nonempty label set", "good paths: 5040"),
+    (enumerate_trees, range_of, "enumerate_trees needs k >= 2 and a nonempty label set",
+     "plane trees: 5040"),
+    (enumerate_ornaments, int, "enumerate_paths needs k >= 2 and a nonempty label set",
+     "good paths: 5040"),
+    (enumerate_cycle_rooted, int, "enumerate_cycle_rooted needs k >= 2 and n >= 1",
+     "cycle-rooted trees: 3024"),
+    (enumerate_multisets, int, "enumerate_multisets needs k >= 2 and n >= 1",
+     "cyclic multisets: 3024"),
+    (fields_of_one_part, int, "enumerate_fields needs k >= 2, n >= 1, parts >= 1",
+     "minimal fields: 3024"),
+]
+
+
 class TestMinimalPaths:
     LABEL_SETS = ([(k, range(1, n + 1)) for k, n in GRID]
                   + [(k, {3, 7, 10, 20}) for k in (2, 3, 4)] + [(2, [20, 3, 10, 7, 5])])
@@ -282,20 +312,31 @@ class TestMinimalPaths:
         minimal = enumerate_minimal_paths(k, labels)
         assert minimal == [p for p in every if is_label_minimal(p)]
 
-    @pytest.mark.parametrize("enumerate_", [enumerate_paths, enumerate_minimal_paths])
-    def test_errors_keep_their_messages(self, enumerate_):
-        with pytest.raises(ValueError, match="^label set contains duplicates$"):
-            enumerate_(2, [1, 2, 2])
-        with pytest.raises(ValueError,
-                           match="^enumerate_paths needs k >= 2 and a nonempty label set$"):
-            enumerate_(2, [])
-        with pytest.raises(ResourceCapError) as cap:
-            enumerate_(2, range(1, 6), max_count=10)
-        assert str(cap.value) == ("good paths: 5040 structures predicted, cap is 10 "
-                                  "(raise or disable the cap to proceed)")
-        for labels in ([0, 1], [1.0, 2], ["1", "2"]):
-            with pytest.raises(ValueError, match="labels must be distinct positive integers"):
-                enumerate_(2, labels)
+    @pytest.mark.parametrize("enumerate_, size, refusal, cap", ENTRY_CHECKS,
+                             ids=[e[0].__name__ for e in ENTRY_CHECKS])
+    def test_errors_keep_their_messages(self, enumerate_, size, refusal, cap):
+        """Every public enumerator checks its arguments on entry and names
+        the broken invariant; a float k or n raises ValueError, not a
+        TypeError from the counting formulas."""
+        with pytest.raises(ValueError, match=f"^{refusal}$"):
+            enumerate_(2, size(0))
+        for k in (1, 2.0):
+            with pytest.raises(ValueError, match=f"^{refusal}$"):
+                enumerate_(k, size(2))
+        with pytest.raises(ResourceCapError) as refused:
+            enumerate_(2, size(5), max_count=10)
+        assert str(refused.value) == (f"{cap} structures predicted, cap is 10 "
+                                      "(raise or disable the cap to proceed)")
+        if size is range_of:  # an explicit label set
+            with pytest.raises(ValueError, match="^label set contains duplicates$"):
+                enumerate_(2, [1, 2, 2])
+            for labels in ([0, 1], [1.0, 2], ["1", "2"], [True, 2]):
+                with pytest.raises(ValueError,
+                                   match="^labels must be distinct positive integers$"):
+                    enumerate_(2, labels)
+        else:
+            with pytest.raises(ValueError, match=f"^{refusal}$"):
+                enumerate_(2, 2.0)
 
 
 class TestFields:

@@ -59,7 +59,8 @@ def test_a_grid_point_holds_no_structure_list():
     (lambda: itertools.islice(trees._trees(2, range(1, 7), None), 5000), 5000),
     (lambda: itertools.islice(trees._cycle_rooted(2, 6, None), 5000), 5000),
     (lambda: paths._fields(2, 6, 1, None), 55440),
-], ids=["trees", "cycle-trees", "fields"])
+    (lambda: itertools.islice(paths._labeled_paths(2, range(1, 9), None, False), 5000), 5000),
+], ids=["trees", "cycle-trees", "fields", "paths"])
 def test_each_walk_holds_no_structure_list(walk, count):
     """The walks of (2, 6) hold one structure at a time. Walks that built
     per-block lists of subtrees or paths peaked at 2.9, 8.3 and 6.2 MB,
@@ -154,7 +155,7 @@ def _cycle_trees():
 
 
 def _rooted_multisets():
-    items = multisets.enumerate_multisets(K, N, rooted_only=True)
+    items = [m for m in multisets.enumerate_multisets(K, N) if multisets.root_vertices(m)]
     return _extremes(items, lambda m: len(multisets.root_vertices(m)))
 
 
@@ -343,7 +344,7 @@ def _tree_with_a_loose_vertex():
     """A rooted multiset, and its tree plus a vertex that hangs below no
     root. Exploring from the cycle never meets that vertex, so the tree
     still carries its ornament back: only the validity check sees it."""
-    m = multisets.enumerate_multisets(K, N, rooted_only=True)[0]
+    m = [m for m in multisets.enumerate_multisets(K, N) if multisets.root_vertices(m)][0]
     c = multisets.multiset_to_cycle_tree(m)
     table = {**c.slot_map, N + 1: (None,) * K}
     image = trusted(trees.CycleRootedTree, k=K, cycle=c.cycle, slots=tuple(table.items()),
