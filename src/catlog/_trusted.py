@@ -17,6 +17,5 @@ def trusted(cls, **fields):
     verify suites and the tests compare those with public rebuilds.
     """
     obj = object.__new__(cls)
-    for name, value in fields.items():  # as __init__ does: no per-instance dict
-        object.__setattr__(obj, name, value)
+    obj.__dict__.update(fields)  # the instance dict that __init__ would fill
     return obj

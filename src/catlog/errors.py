@@ -9,8 +9,12 @@ class ResourceCapError(RuntimeError):
 
 def check_labels(k, labels, what: str) -> tuple[int, ...]:
     """The sorted labels, once k is an int >= 2 and they are distinct positive ints."""
-    labels = tuple(labels)
-    if len(set(labels)) != len(labels):
+    try:
+        labels = tuple(labels)
+        repeats = len(set(labels)) != len(labels)
+    except TypeError:  # not an iterable, or a label that cannot be hashed
+        raise ValueError("labels must be distinct positive integers") from None
+    if repeats:
         raise ValueError("label set contains duplicates")
     if type(k) is not int or k < 2 or not labels:
         raise ValueError(f"{what} needs k >= 2 and a nonempty label set")

@@ -30,7 +30,7 @@ from . import catalan
 from ._trusted import trusted
 from .errors import DEFAULT_MAX_ENUMERATION, check_cap, check_size
 from .paths import GoodPath, Ornament
-from .trees import CycleRootedTree, _check_cycle, _rotated, canonical_cycle, slot_walk
+from .trees import CycleRootedTree, _check_cycle, _rotated, canonical_cycle
 
 Node = tuple[int, int]
 Segment = tuple[Node, ...]
@@ -118,12 +118,15 @@ def root_vertices(m: CyclicMultiset) -> set[int]:
     Only the steps at the (v, 1) nodes are negative, so the minimum is a
     prefix sum just after some (v, 1).
     """
+    f_map = m.f_map
     before = []
     low = total = 0
     for v in m.cycle:
-        vec = m.f_map[v]
+        vec = f_map[v]
         before.append(total)
-        low = min(low, total + vec[0] - 1)
+        after_first = total + vec[0] - 1  # the prefix sum just after (v, 1)
+        if after_first < low:
+            low = after_first
         total += sum(vec) - 1
     return {v for v, p in zip(m.cycle, before) if p == low}
 
@@ -273,22 +276,30 @@ def _encoded(k: int, order, counts: dict[int, list[int]]) -> CyclicMultiset:
                    f=tuple(f_map.items()), f_map=f_map)
 
 
-def _least_root_order(m: CyclicMultiset, what: str) -> tuple[tuple[int, ...], set[int]]:
-    """The cycle read from its smallest root vertex, and the root vertices;
-    a multiset without root vertices encodes no `what` at all."""
+def _least_root_order(m: CyclicMultiset) -> tuple[tuple[int, ...], set[int]]:
+    """The cycle read from its smallest root vertex (empty when m has
+    none), and the root vertices: what both decoders start from."""
     roots = root_vertices(m)
+    return _rotated(m.cycle, min(roots)) if roots else (), roots
+
+
+def _decoder_start(m: CyclicMultiset, rooted, what: str) -> tuple[tuple[int, ...], set[int]]:
+    """The least-root order a decoder starts from: `rooted`, or m's own
+    when it is None; a multiset without root vertices encodes no `what`."""
+    order, roots = rooted or _least_root_order(m)
     if not roots:
         raise ValueError(f"multiset has no root vertices, so it encodes no {what}")
-    return _rotated(m.cycle, min(roots)), roots
+    return order, roots
 
 
-def multiset_to_ornament(m: CyclicMultiset) -> Ornament:
+def multiset_to_ornament(m: CyclicMultiset, rooted=None) -> Ornament:
     """Rebuild the label-minimal representative from the multiplicities.
 
     Starting the label order at the smallest root vertex makes the word
-    good and label-minimal.
+    good and label-minimal. A caller that holds `_least_root_order(m)`
+    passes it as `rooted`.
     """
-    order, _ = _least_root_order(m, "ornament")
+    order, _ = _decoder_start(m, rooted, "ornament")
     chunks = []
     for v in order:
         for r in m.f_map[v]:
@@ -319,42 +330,44 @@ def cycle_tree_to_multiset(
         start_root = c.cycle[0]
     if start_root not in c.cycle:
         raise ValueError("exploration must start at a cycle vertex")
+    k, slot_map = c.k, c.slot_map
+    slots = range(k - 1, -1, -1)  # right to left: the leftmost child is pushed last
     order: list[int] = []
-    parent_slot = {}
-    for r in _rotated(c.cycle, start_root):
-        order.append(r)
-        for _, q, v in slot_walk(c.slot_map, r):
-            if v is not None:
-                order.append(v)
-                parent_slot[v] = q
-
-    def chain(v: int, q: int) -> int:
-        length = 0
-        while (v := c.slot_map[v][q]) is not None:
-            length += 1
-        return length
-
-    roots = set(c.cycle)
     f = {}
-    for v in order:
-        if v in roots:
-            vec = [chain(v, q) for q in range(c.k - 1)]
-            vec[0] += 1
-        else:
-            p = parent_slot[v]
-            vec = [chain(v, q) for q in range(c.k) if q != p]
-        f[v] = vec
-    return _encoded(c.k, order, f)
+    for r in _rotated(c.cycle, start_root):
+        # depth first, leftmost slot first: each vertex with the slot it
+        # occupies, a root with its rightmost slot, which stays vacant
+        stack = [(r, k - 1)]
+        while stack:
+            v, p = stack.pop()
+            order.append(v)
+            row = slot_map[v]
+            vec = []
+            for q in slots:
+                u = row[q]
+                if u is not None:
+                    stack.append((u, q))
+                if q != p:  # the chain from v through slot q, v left out
+                    length = 0
+                    while u is not None:
+                        length += 1
+                        u = slot_map[u][q]
+                    vec.append(length)
+            vec.reverse()
+            f[v] = vec
+        f[r][0] += 1
+    return _encoded(k, order, f)
 
 
-def multiset_to_cycle_tree(m: CyclicMultiset) -> CycleRootedTree:
+def multiset_to_cycle_tree(m: CyclicMultiset, rooted=None) -> CycleRootedTree:
     """Rebuild the cycle-rooted tree whose encoding is m.
 
     Replays the depth-first exploration: the root vertices of m mark
     where subtrees start, and multiplicities are consumed as remaining
-    chain budgets while the labels are attached in cycle order.
+    chain budgets while the labels are attached in cycle order. A caller
+    that holds `_least_root_order(m)` passes it as `rooted`.
     """
-    seq, roots = _least_root_order(m, "tree")
+    seq, roots = _decoder_start(m, rooted, "tree")
     k = m.k
     table: dict[int, list[int | None]] = {v: [None] * k for v in m.f_map}
     cyc: list[int] = []

@@ -27,19 +27,19 @@ from .errors import DEFAULT_MAX_ENUMERATION, check_cap, check_labels, check_size
 
 
 def is_good(k: int, steps: str) -> bool:
-    """True for a nonempty word over {R, U} with n rights and (k-1)n ups
+    """True for a nonempty str over {R, U} with n rights and (k-1)n ups
     whose every prefix keeps u <= (k-1)*r."""
-    if k < 2 or not steps or any(ch not in "RU" for ch in steps):
+    if type(steps) is not str or k < 2 or not steps or steps.strip("RU"):
         return False
-    r = u = 0
+    height = 0  # (k-1)*r - u, how far the prefix stays below the diagonal
     for ch in steps:
         if ch == "R":
-            r += 1
+            height += k - 1
         else:
-            u += 1
-        if u > (k - 1) * r:
-            return False
-    return r >= 1 and u == (k - 1) * r
+            height -= 1
+            if height < 0:
+                return False
+    return height == 0  # a nonempty word that never dips starts with R
 
 
 @dataclass(frozen=True)
@@ -49,15 +49,14 @@ class GoodPath:
     labels: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
+        labels = tuple(self.labels)
+        object.__setattr__(self, "labels", labels)
         if type(self.k) is not int or self.k < 2:
             raise ValueError("paths need an integer k >= 2")
-        n = len(self.labels)
+        n = len(labels)
         if n < 1:
             raise ValueError("a path carries at least one label")
-        if len(set(self.labels)) != n or any(
-            type(v) is not int or v < 1 for v in self.labels
-        ):
+        if set(map(type, labels)) != {int} or len(set(labels)) != n or min(labels) < 1:
             raise ValueError("labels must be distinct positive integers")
         # a good word with r right steps has length k*r
         if not is_good(self.k, self.steps) or len(self.steps) != self.k * n:

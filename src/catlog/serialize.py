@@ -8,6 +8,7 @@ collections are sorted.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 from .multisets import CyclicMultiset
@@ -25,23 +26,37 @@ def _as_int(value) -> int:
     return int(value)
 
 
-def _int_list(values, field: str) -> tuple[int, ...]:
+def _ints(values) -> list[int]:
+    """The values as ints, in order: ints as they are, strings through
+    int() as _as_int would, a mix through _as_int, which names the first
+    value it refuses. The type test runs in C, once per value."""
+    types = set(map(type, values))
+    if types <= {int}:
+        return list(values)
+    return list(map(int if types == {str} else _as_int, values))
+
+
+def _int_list(values, field: str) -> list[int]:
     if not isinstance(values, list):
         raise ValueError(f"{field} must be a list")
-    return tuple(_as_int(v) for v in values)
+    return _ints(values)
 
 
 def _keyed(obj, field: str) -> list:
     """(vertex, value) pairs; the constructors reject a vertex named twice."""
     if not isinstance(obj, dict):
         raise ValueError(f"{field} must be an object keyed by vertex")
-    return [(_as_int(key), value) for key, value in obj.items()]
+    return list(zip(_ints(obj), obj.values()))
 
 
 def _slots_from_obj(obj) -> list:
+    """(vertex, row) pairs; rows holding only ints and nulls go to the
+    constructor as given, which type-tests every occupant it meets."""
     rows = _keyed(obj, "slots")
-    if not all(isinstance(row, list) for _, row in rows):
+    if not all(map(isinstance, obj.values(), itertools.repeat(list))):
         raise ValueError("each slot array must be a list")
+    if set(map(type, itertools.chain.from_iterable(obj.values()))) <= {int, type(None)}:
+        return rows
     return [(v, tuple(None if c is None else _as_int(c) for c in row)) for v, row in rows]
 
 
@@ -143,11 +158,13 @@ def dumps(x) -> str:
 
 
 def _unique_keys(pairs) -> dict:
-    out = {}
-    for key, value in pairs:
-        if key in out:
-            raise ValueError(f"a JSON object repeats the key {key!r}")
-        out[key] = value
+    out = dict(pairs)
+    if len(out) != len(pairs):  # name the first key met a second time
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"a JSON object repeats the key {key!r}")
+            seen.add(key)
     return out
 
 

@@ -277,8 +277,13 @@ def tree_to_forest(t: PlaneTree) -> RootMinimalForest:
     table = _relink(t.k, t.slot_map, cuts)
     parts = []
     for r in roots:
-        below = [c for _, _, c in slot_walk(table, r) if c is not None]
-        part = {v: table[v] for v in sorted([r] + below)}
+        part = {}
+        stack = [r]
+        while stack:  # every vertex below r, in any order: the part is sorted next
+            v = stack.pop()
+            part[v] = row = table[v]
+            stack.extend(filter(None, row))  # the occupants; vertices are positive
+        part = dict(sorted(part.items()))
         parts.append(trusted(PlaneTree, k=t.k, root=r, slots=tuple(part.items()),
                              slot_map=part))
     return trusted(RootMinimalForest, parts=frozenset(parts))

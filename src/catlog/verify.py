@@ -131,14 +131,10 @@ def _grid_structures(k: int, n: int, max_count):
 
     It keeps no structure. bench/worker.py reads this cache's statistics,
     which is why the cache and the name stay."""
-    n_all = n_rooted = 0
-    rooted = bytearray(catalan.count_multisets(k, n))
-    for m in multisets._multisets(k, n, max_count):
-        n_all += 1
-        if multisets.root_vertices(m):
-            n_rooted += 1
-            rooted[multisets.multiset_rank(m)] = 1
-    return n_all, n_rooted, bytes(rooted)
+    # the walk yields the multisets in rank order, so a position is a rank
+    rooted = bytes(1 if multisets.root_vertices(m) else 0
+                   for m in multisets._multisets(k, n, max_count))
+    return len(rooted), rooted.count(1), rooted
 
 
 def _check_all(name, k, n, bad) -> CheckResult:
@@ -271,16 +267,18 @@ def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResu
         if not (bijections or statistics):
             continue
         m = multisets.cycle_tree_to_multiset(c)
+        # its root vertices, once, for the decoder and the statistics check
+        least = multisets._least_root_order(m) if bijections or _valid(m) else None
         if bijections:
             # the reverse roundtrip; a forward counterexample comes first
             if trees.to_cycle_rooted(trees.to_root_minimal(c)) != c:
                 fail("min-cycle-roundtrip", c)
-            if multisets.multiset_to_cycle_tree(m) != c:
+            if multisets.multiset_to_cycle_tree(m, least) != c:
                 fail("cycle-tree-multiset-roundtrip", c)
             tree_range.add(m)
         if statistics:
             cycle_dist[len(c.cycle)] += 1
-            if not ((bijections or _valid(m)) and multisets.root_vertices(m) == set(c.cycle)):
+            if not (least and least[1] == set(c.cycle)):
                 fail("cycle-tree-root-vertices", c)
 
     n_ornaments = 0
@@ -295,14 +293,14 @@ def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResu
             touch_dist[len(touches)] += 1
             touch_labels = {lab for _, lab in touches}
         m = multisets.ornament_to_multiset(o)
+        least = multisets._least_root_order(m)  # once, for both decoders and the check
         if bijections:
-            if multisets.multiset_to_ornament(m) != o:
+            if multisets.multiset_to_ornament(m, least) != o:
                 fail("ornament-multiset-roundtrip", o)
             ornament_range.add(m)
-        if statistics and not ((bijections or _valid(m))
-                               and multisets.root_vertices(m) == touch_labels):
+        if statistics and not ((bijections or _valid(m)) and least[1] == touch_labels):
             fail("ornament-root-vertices", o)
-        c = multisets.multiset_to_cycle_tree(m)
+        c = multisets.multiset_to_cycle_tree(m, least)
         if bijections and not (_valid(c) and multisets.cycle_tree_to_ornament(c) == o):
             fail("composed-correspondence-roundtrip", o)
         if statistics and not ((bijections or _valid(c)) and set(c.cycle) == touch_labels):

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -371,6 +372,25 @@ class TestShapeErrors:
          "multiplicities sum to 3, must equal the label count 2"),
         ('{"kind":"multiset","k":2,"cycle":[-1,0],"f":{"0":[1],"-1":[1]}}',
          "cycle labels must be positive integers"),
+        # a bool, float, list or non-digit string where an int belongs,
+        # among ints or alone
+        ('{"kind":"path","k":2,"steps":"RURU","labels":[1,true]}', "expected an integer, got True"),
+        ('{"kind":"path","k":2,"steps":"RURU","labels":[1.0,2]}', "expected an integer, got 1.0"),
+        ('{"kind":"path","k":2,"steps":"RU","labels":[1.0]}', "expected an integer, got 1.0"),
+        ('{"kind":"path","k":2,"steps":"RU","labels":[true]}', "expected an integer, got True"),
+        ('{"kind":"path","k":2,"steps":"RU","labels":[[1]]}', "expected an integer, got [1]"),
+        ('{"kind":"multiset","k":2,"cycle":[1,2.0],"f":{"1":[1],"2":[1]}}',
+         "expected an integer, got 2.0"),
+        ('{"kind":"multiset","k":2,"cycle":[1],"f":{"1":[false]}}',
+         "expected an integer, got False"),
+        ('{"kind":"tree","k":2,"root":1,"slots":{"1":[true,null]}}',
+         "expected an integer, got True"),
+        ('{"kind":"cycle-tree","k":2,"cycle":[1],"slots":{"1":[2.0,null],"2":[null,null]}}',
+         "expected an integer, got 2.0"),
+        ('{"kind":"tree","k":2,"root":1,"slots":{"1":[null,"2"],"2":[null,"x"]}}',
+         "invalid literal for int() with base 10: 'x'"),
+        ('{"kind":"tree","k":2,"root":1,"slots":{"1":[null,null],"2.0":[null,null]}}',
+         "invalid literal for int() with base 10: '2.0'"),
     ])
     @pytest.mark.parametrize("argv", [("map", "--target", "ornament"), ("render",),
                                       ("map", "--target", "multiset")])
@@ -379,6 +399,39 @@ class TestShapeErrors:
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert field in err
+
+
+def _digit_strings(obj, every: int):
+    """obj with every `every`-th int, in reading order, written as a digit string."""
+    count = itertools.count()
+
+    def convert(x):
+        if isinstance(x, list):
+            return [convert(y) for y in x]
+        if isinstance(x, dict):
+            return {key: value if key in ("kind", "steps") else convert(value)
+                    for key, value in x.items()}
+        if isinstance(x, int) and next(count) % every == 0:
+            return str(x)
+        return x
+
+    return convert(obj)
+
+
+class TestDigitStrings:
+    """JSON digit strings where ints belong build the same structure, all
+    of them strings or mixed with ints."""
+
+    PATH = GoodPath(3, "RUURRUUUURUU", (5, 2, 4, 1))  # touch labels 5, 2 and 1
+
+    @pytest.mark.parametrize("every", [1, 2])
+    @pytest.mark.parametrize("target", list(serialize.KINDS.values()))
+    def test_same_output_as_ints(self, capsys, monkeypatch, target, every):
+        feed(monkeypatch, serialize.dumps(self.PATH))
+        code, text, _ = run(capsys, "map", "--target", target)
+        assert code == 0
+        feed(monkeypatch, json.dumps(_digit_strings(json.loads(text), every)))
+        assert run(capsys, "map", "--target", target) == (0, text, "")
 
 
 class TestDeepCycleTree:

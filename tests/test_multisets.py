@@ -30,7 +30,13 @@ from catlog.paths import (
     rotations,
     to_ornament,
 )
-from catlog.trees import CycleRootedTree, canonical_cycle, enumerate_cycle_rooted
+from catlog.trees import (
+    CycleRootedTree,
+    _rotated,
+    canonical_cycle,
+    enumerate_cycle_rooted,
+    slot_walk,
+)
 
 # the acceptance grid
 ACCEPTANCE = [(2, n) for n in range(1, 6)] + [(3, n) for n in range(1, 5)] + [(4, n) for n in range(1, 4)]
@@ -321,7 +327,60 @@ class TestOrnamentEncoding:
                 assert multiset_to_ornament(ornament_to_multiset(o)) == o
 
 
+def cycle_tree_to_multiset_before(c, start_root=None):
+    """cycle_tree_to_multiset as it was written on slot_walk and a
+    parent-slot dict, built by the public constructor: the reference the
+    explicit-stack pass is checked against."""
+    if start_root is None:
+        start_root = c.cycle[0]
+    order = []
+    parent_slot = {}
+    for r in _rotated(c.cycle, start_root):
+        order.append(r)
+        for _, q, v in slot_walk(c.slot_map, r):
+            if v is not None:
+                order.append(v)
+                parent_slot[v] = q
+
+    def chain(v, q):
+        length = 0
+        while (v := c.slot_map[v][q]) is not None:
+            length += 1
+        return length
+
+    f = {}
+    for v in order:
+        if v in c.cycle:
+            vec = [chain(v, q) for q in range(c.k - 1)]
+            vec[0] += 1
+        else:
+            vec = [chain(v, q) for q in range(c.k) if q != parent_slot[v]]
+        f[v] = vec
+    return CyclicMultiset(c.k, canonical_cycle(order), f)
+
+
+def large_cycle_tree(shape, k, n):
+    """The cycle tree of the path hugging the axis (one root, a slot-0
+    chain n deep) or of the max-touch path (n roots)."""
+    steps = "R" * n + "U" * ((k - 1) * n) if shape == "hug" else ("R" + "U" * (k - 1)) * n
+    return ornament_to_cycle_tree(to_ornament(GoodPath(k, steps, tuple(range(n, 0, -1)))))
+
+
 class TestTreeEncoding:
+    @pytest.mark.parametrize("k, n", ACCEPTANCE)
+    def test_agrees_with_the_reference_on_the_acceptance_grid(self, k, n):
+        for c in enumerate_cycle_rooted(k, n):
+            for start in c.cycle:
+                assert cycle_tree_to_multiset(c, start) == cycle_tree_to_multiset_before(c, start)
+
+    @pytest.mark.parametrize("shape", ["hug", "max-touch"])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_agrees_with_the_reference_on_large_trees(self, shape, k):
+        c = large_cycle_tree(shape, k, 1500)
+        assert len(c.cycle) == (1 if shape == "hug" else 1500)
+        for start in {c.cycle[0], c.cycle[-1]}:
+            assert cycle_tree_to_multiset(c, start) == cycle_tree_to_multiset_before(c, start)
+
     def test_size_one(self):
         c = CycleRootedTree(2, (1,), {1: (None, None)})
         assert cycle_tree_to_multiset(c) == ms(2, (1,), {1: (1,)})

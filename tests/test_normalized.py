@@ -4,12 +4,14 @@ public constructor stores for the same structure: equal to its rebuild,
 hashing like it, holding the same fields in the same order, and
 surviving a JSON round trip."""
 
+import hashlib
+import io
 import random
 
 import pytest
 
 from catlog import serialize
-from catlog.cli import _ENUMERATORS
+from catlog.cli import _ENUMERATORS, main
 from catlog.multisets import (
     CyclicMultiset,
     cycle_tree_to_multiset,
@@ -172,3 +174,32 @@ LARGE = [(shape, k, n) for shape in ("random", "hug", "max-touch")
 def test_bijection_outputs_on_large_paths(shape, k, n):
     for x in bijection_outputs_from(large_path(shape, k, n)):
         assert_normalized(x)
+
+
+# sha256 of the stdout of `catlog map --target T` for every kind T, then of
+# `catlog render` on the path and on its tree and cycle-tree, for each path
+# of LARGE in order; a change that moves these bytes must say why and
+# update the pin
+PINNED_REQUESTS = "b0057a75113c6f8b85bc67606c2eadef64364155ffca6bfa4aa1b0fc7900ba44"
+
+
+def test_request_path_bytes(capsys, monkeypatch):
+    """The map and render requests on the large paths give pinned bytes."""
+
+    def cli(argv, text: str) -> str:
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(argv) == 0, argv
+        return capsys.readouterr().out
+
+    digest = hashlib.sha256()
+    for shape, k, n in LARGE:
+        text = serialize.dumps(large_path(shape, k, n))
+        rendered = [text]
+        for target in serialize.KINDS.values():
+            out = cli(["map", "--target", target], text)
+            digest.update(out.encode("utf-8"))
+            if target in ("tree", "cycle-tree"):
+                rendered.append(out)
+        for structure in rendered:
+            digest.update(cli(["render"], structure).encode("utf-8"))
+    assert digest.hexdigest() == PINNED_REQUESTS

@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from catlog.arith import factorial
 from catlog.catalan import coeff_log_power, count_ornaments, count_paths, returns_count
@@ -29,7 +30,48 @@ from catlog.trees import enumerate_cycle_rooted, enumerate_trees
 GRID = [(2, n) for n in range(1, 6)] + [(3, n) for n in range(1, 5)] + [(4, n) for n in range(1, 4)]
 
 
+def is_good_before(k: int, steps: str) -> bool:
+    """is_good as it was written before it kept one running height: the
+    reference the new one is checked against."""
+    if k < 2 or not steps or any(ch not in "RU" for ch in steps):
+        return False
+    r = u = 0
+    for ch in steps:
+        if ch == "R":
+            r += 1
+        else:
+            u += 1
+        if u > (k - 1) * r:
+            return False
+    return r >= 1 and u == (k - 1) * r
+
+
+# any text, and shuffles of n R's and (k-1)n U's, which have the right
+# totals and are good or not by their prefixes
+WORDS = (st.text(alphabet="RUx", max_size=40) | st.text(max_size=12)
+         | st.tuples(st.integers(1, 20), st.integers(2, 5)).flatmap(
+             lambda nk: st.permutations("R" * nk[0] + "U" * ((nk[1] - 1) * nk[0]))
+         ).map("".join))
+# steps that are no str: a list or tuple used to build a path that cannot
+# be hashed, bytes and an int raised a TypeError
+NOT_STR = [["R", "U"], ("R", "U"), b"RU", 5]
+
+
 class TestIsGood:
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_agrees_with_the_reference_on_every_short_word(self, k):
+        for length in range(10):
+            for word in map("".join, itertools.product("RUx", repeat=length)):
+                assert is_good(k, word) == is_good_before(k, word), word
+
+    @given(st.integers(2, 5), WORDS)
+    def test_agrees_with_the_reference(self, k, word):
+        assert is_good(k, word) == is_good_before(k, word)
+
+    @pytest.mark.parametrize("steps", NOT_STR)
+    def test_rejects_a_word_that_is_not_a_str(self, steps):
+        assert not is_good(2, steps)
+
     def test_accepts(self):
         assert is_good(2, "RURU")
         assert is_good(3, "RUURUU")
@@ -60,6 +102,12 @@ class TestGoodPath:
     def test_non_int_labels_rejected(self, labels):
         with pytest.raises(ValueError, match="labels must be distinct positive integers"):
             GoodPath(2, "RU", labels)
+
+    @pytest.mark.parametrize("steps", NOT_STR)
+    def test_steps_must_be_a_str(self, steps):
+        with pytest.raises(ValueError, match="^steps must form a good word with one right "
+                                             "step per label$"):
+            GoodPath(2, steps, (1,))
 
     @pytest.mark.parametrize("k, steps", [(2.0, "RU"), (3.0, "RUU"), (True, "RU"), ("2", "RU")])
     def test_k_must_be_an_int(self, k, steps):
@@ -328,9 +376,12 @@ class TestMinimalPaths:
         assert str(refused.value) == (f"{cap} structures predicted, cap is 10 "
                                       "(raise or disable the cap to proceed)")
         if size is range_of:  # an explicit label set
-            with pytest.raises(ValueError, match="^label set contains duplicates$"):
-                enumerate_(2, [1, 2, 2])
-            for labels in ([0, 1], [1.0, 2], ["1", "2"], [True, 2]):
+            for labels in ([1, 2, 2], [1.0, 1]):
+                with pytest.raises(ValueError, match="^label set contains duplicates$"):
+                    enumerate_(2, labels)
+            # an unhashable label and a label set that is not iterable
+            # raised a TypeError
+            for labels in ([0, 1], [1.0, 2], ["1", "2"], [True, 2], [[1], [2]], 5):
                 with pytest.raises(ValueError,
                                    match="^labels must be distinct positive integers$"):
                     enumerate_(2, labels)

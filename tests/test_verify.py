@@ -294,6 +294,34 @@ def test_first_counterexample_is_first_in_public_order(monkeypatch, module, attr
     assert _failing("bijections")[(check, K, N)] == serialize.dumps(items[0])
 
 
+def _rootless():
+    return next(m for m in multisets.enumerate_multisets(3, 2) if not multisets.root_vertices(m))
+
+
+@pytest.mark.parametrize("attr, suite, what", [
+    ("ornament_to_multiset", "all", "ornament"),
+    ("ornament_to_multiset", "bijections", "ornament"),
+    ("ornament_to_multiset", "statistics", "tree"),
+    ("cycle_tree_to_multiset", "all", "tree"),
+    ("cycle_tree_to_multiset", "bijections", "tree"),
+])
+def test_a_rootless_image_raises_the_decoders_message(monkeypatch, attr, suite, what):
+    """An encoding with no root vertices stops the run in the first
+    decoder that reads it, with that decoder's message."""
+    rootless = _rootless()
+    monkeypatch.setattr(multisets, attr, lambda x, *args: rootless)
+    with pytest.raises(ValueError,
+                       match=f"^multiset has no root vertices, so it encodes no {what}$"):
+        run_suite(suite, [3], 2)
+
+
+def test_a_rootless_tree_image_fails_the_root_vertex_check(monkeypatch):
+    rootless = _rootless()
+    monkeypatch.setattr(multisets, "cycle_tree_to_multiset", lambda x, *args: rootless)
+    failed = {r.name for r in run_suite("statistics", [3], 2).results if not r.passed}
+    assert failed == {"cycle-tree-root-vertices"}
+
+
 # -- invalid images ---------------------------------------------------------------
 # The bijections build their images through the trusted constructor, which
 # checks nothing. An image that no roundtrip or range check compares with a
