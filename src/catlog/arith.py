@@ -12,20 +12,20 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .errors import check_ints
+
 Rational = Fraction
 
 
 def factorial(n: int) -> int:
     """n! for n >= 0."""
-    if n < 0:
-        raise ValueError("factorial needs n >= 0")
+    check_ints("factorial needs n >= 0", (n, 0))
     return math.factorial(n)
 
 
 def binomial(n: int, r: int) -> int:
     """C(n, r); zero outside 0 <= r <= n."""
-    if n < 0:
-        raise ValueError("binomial needs n >= 0")
+    check_ints("binomial needs n >= 0", (n, 0), (r, -math.inf))  # any int r
     if r < 0 or r > n:
         return 0
     return math.comb(n, r)
@@ -33,8 +33,7 @@ def binomial(n: int, r: int) -> int:
 
 def multichoose(i: int, j: int) -> int:
     """Number of size-j multisets over i symbols, C(i+j-1, j)."""
-    if i < 0 or j < 0:
-        raise ValueError("multichoose needs i >= 0 and j >= 0")
+    check_ints("multichoose needs i >= 0 and j >= 0", (i, 0), (j, 0))
     if j == 0:
         return 1
     if i == 0:
@@ -44,8 +43,7 @@ def multichoose(i: int, j: int) -> int:
 
 def harmonic(m: int) -> Fraction:
     """Sum of 1/i for i = 1..m, exactly; harmonic(0) = 0."""
-    if m < 0:
-        raise ValueError("harmonic needs m >= 0")
+    check_ints("harmonic needs m >= 0", (m, 0))
     total = Fraction(0)
     for i in range(1, m + 1):
         total += Fraction(1, i)

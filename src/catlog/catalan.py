@@ -11,13 +11,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import binomial, factorial, format_rational, harmonic, multichoose
+from .errors import check_ints
 from . import series as fps
 
 
 def gen_catalan(k: int, n: int) -> int:
     """Generalized Catalan number C(kn, n-1) / n (the quotient is exact)."""
-    if k < 1 or n < 1:
-        raise ValueError("gen_catalan needs k >= 1 and n >= 1")
+    check_ints("gen_catalan needs k >= 1 and n >= 1", (k, 1), (n, 1))
     q, r = divmod(binomial(k * n, n - 1), n)
     assert r == 0, "C(kn, n-1) is always divisible by n"
     return q
@@ -25,18 +25,18 @@ def gen_catalan(k: int, n: int) -> int:
 
 def coeff_log(k: int, n: int) -> Fraction:
     """Coefficient of x^n in the log of the Catalan series: (kn-1)!/((kn-n)!*n!)."""
-    if k < 1 or n < 1:
-        raise ValueError("coeff_log needs k >= 1 and n >= 1")
+    check_ints("coeff_log needs k >= 1 and n >= 1", (k, 1), (n, 1))
     return Fraction(factorial(k * n - 1), factorial(k * n - n) * factorial(n))
 
 
 def returns_count(k: int, n: int, p: int) -> int:
     """Unlabeled good paths of size n that meet the diagonal exactly p times
     (origin counted, endpoint not): ((kp-p)/(kn-p)) * C(kn-p, n-p)."""
-    if k < 2 or n < 1:
-        raise ValueError("returns_count needs k >= 2 and n >= 1")
-    if not 1 <= p <= n:
-        raise ValueError(f"p must lie in 1..{n}, got {p}")
+    check_ints("returns_count needs k >= 2 and n >= 1", (k, 2), (n, 1))
+    out_of_range = f"p must lie in 1..{n}, got {p}"
+    check_ints(out_of_range, (p, 1))
+    if p > n:
+        raise ValueError(out_of_range)
     value = Fraction((k - 1) * p, k * n - p) * binomial(k * n - p, n - p)
     assert value.denominator == 1
     return value.numerator
@@ -71,8 +71,7 @@ def composition_sum(p: int, a: int) -> Fraction:
     The literal composition enumeration lives in the tests as an oracle.
     Returns 0 when a > p (no compositions).
     """
-    if p < 1 or a < 1:
-        raise ValueError("composition_sum needs p >= 1 and a >= 1")
+    check_ints("composition_sum needs p >= 1 and a >= 1", (p, 1), (a, 1))
     return Fraction(factorial(a) * _stirling_column(p, a)[p], factorial(p))
 
 
@@ -85,8 +84,7 @@ def coeff_log_power(k: int, n: int, a: int) -> Fraction:
     Stirling column serves every p, and the sum is kept over the common
     denominator n!. Zero for n < a (the a-th log power has valuation a).
     """
-    if k < 2 or a < 1 or n < 1:
-        raise ValueError("coeff_log_power needs k >= 2, n >= 1, a >= 1")
+    check_ints("coeff_log_power needs k >= 2, n >= 1, a >= 1", (k, 2), (n, 1), (a, 1))
     if n < a:
         return Fraction(0)
     stirling = _stirling_column(n, a)
@@ -100,16 +98,14 @@ def coeff_log_power(k: int, n: int, a: int) -> Fraction:
 def knuth_log2_coeff(n: int) -> Fraction:
     """Squared-log coefficient for k=2 in harmonic form:
     (1/n) * C(2n, n) * (H_{2n-1} - H_n)."""
-    if n < 1:
-        raise ValueError("knuth_log2_coeff needs n >= 1")
+    check_ints("knuth_log2_coeff needs n >= 1", (n, 1))
     return Fraction(binomial(2 * n, n), n) * (harmonic(2 * n - 1) - harmonic(n))
 
 
 def knuth_general_log2(k: int, n: int) -> Fraction:
     """Squared-log coefficient for general k >= 2 in harmonic form:
     2 * sum_p ((k-1)/(kn-p)) * C(kn-p, n-p) * H_{p-1}."""
-    if k < 2 or n < 2:
-        raise ValueError("knuth_general_log2 needs k >= 2 and n >= 2")
+    check_ints("knuth_general_log2 needs k >= 2 and n >= 2", (k, 2), (n, 2))
     total = Fraction(0)
     h = Fraction(0)  # H_{p-1}, carried from one p to the next
     for p in range(2, n + 1):
@@ -121,22 +117,19 @@ def knuth_general_log2(k: int, n: int) -> Fraction:
 def count_ornaments(k: int, n: int) -> int:
     """(kn-1)!/(kn-n)!, the number of ornaments (and of several structures
     in bijection with them) on n labels."""
-    if k < 2 or n < 1:
-        raise ValueError("count_ornaments needs k >= 2 and n >= 1")
+    check_ints("count_ornaments needs k >= 2 and n >= 1", (k, 2), (n, 1))
     return factorial(k * n - 1) // factorial(k * n - n)
 
 
 def count_paths(k: int, n: int) -> int:
     """Labeled good paths on n labels: n! * gen_catalan(k, n) = (n-1)! * C(kn, n-1)."""
-    if k < 2 or n < 1:
-        raise ValueError("count_paths needs k >= 2 and n >= 1")
+    check_ints("count_paths needs k >= 2 and n >= 1", (k, 2), (n, 1))
     return factorial(n - 1) * binomial(k * n, n - 1)
 
 
 def count_multisets(k: int, n: int) -> int:
     """Cyclically ordered multisets on n labels: (n-1)! * multichoose((k-1)n, n)."""
-    if k < 2 or n < 1:
-        raise ValueError("count_multisets needs k >= 2 and n >= 1")
+    check_ints("count_multisets needs k >= 2 and n >= 1", (k, 2), (n, 1))
     return factorial(n - 1) * multichoose((k - 1) * n, n)
 
 
@@ -161,8 +154,8 @@ class CoeffTable:
 def coeff_table(k: int, max_n: int, power: int = 1, check: bool = False) -> CoeffTable:
     """Tabulate closed-form log-power coefficients, optionally against the
     series expansion computed from scratch."""
-    if k < 1 or max_n < 1 or power < 1:
-        raise ValueError("coeff_table needs k >= 1, max_n >= 1, power >= 1")
+    check_ints("coeff_table needs k >= 1, max_n >= 1, power >= 1",
+               (k, 1), (max_n, 1), (power, 1))
     if k == 1 and power > 1:
         raise ValueError("closed forms for higher log powers need k >= 2")
     if check:

@@ -1,10 +1,20 @@
-"""Shared entry checks, error type and size guard of the enumerators."""
+"""Shared entry checks, error type and size guard of the public API."""
+
+import math
 
 DEFAULT_MAX_ENUMERATION = 10**7
 
 
 class ResourceCapError(RuntimeError):
     """An enumeration would exceed the configured size cap."""
+
+
+def check_ints(message: str, *bounds) -> None:
+    """The one type rule: refuse unless every (value, least) pair holds
+    an int value, not a bool, that is at least `least`."""
+    for value, least in bounds:
+        if type(value) is not int or value < least:
+            raise ValueError(message)
 
 
 def check_labels(k, labels, what: str) -> tuple[int, ...]:
@@ -16,17 +26,41 @@ def check_labels(k, labels, what: str) -> tuple[int, ...]:
         raise ValueError("labels must be distinct positive integers") from None
     if repeats:
         raise ValueError("label set contains duplicates")
-    if type(k) is not int or k < 2 or not labels:
-        raise ValueError(f"{what} needs k >= 2 and a nonempty label set")
-    if any(type(v) is not int or v < 1 for v in labels):
-        raise ValueError("labels must be distinct positive integers")
+    check_ints(f"{what} needs k >= 2 and a nonempty label set", (k, 2), (len(labels), 1))
+    check_ints("labels must be distinct positive integers", *((v, 1) for v in labels))
     return tuple(sorted(labels))
 
 
-def check_size(message: str, k, *sizes) -> None:
-    """Refuse a k or a size that is not an int, k < 2 or a size < 1."""
-    if type(k) is not int or k < 2 or any(type(s) is not int or s < 1 for s in sizes):
+def check_pairs(items, message: str) -> list:
+    """The (key, value) pairs of a dict, or of an iterable of pairs, as a
+    list; anything else is refused with `message`."""
+    if isinstance(items, dict):
+        return list(items.items())
+    try:
+        return [(key, value) for key, value in items]
+    except (TypeError, ValueError):  # not iterable, or an item that is no pair
+        raise ValueError(message) from None
+
+
+def check_parts(parts, cls, message: str) -> frozenset:
+    """The parts of a field or forest as a frozenset, once none is listed
+    twice and each is a `cls`; anything else is refused with `message`."""
+    try:
+        unique = frozenset(parts)
+        repeats = len(unique) != len(parts)
+    except TypeError:  # not a collection, or a part that cannot be hashed
+        raise ValueError(message) from None
+    if repeats:
+        raise ValueError("parts lists one part twice")
+    if not all(isinstance(p, cls) for p in unique):
         raise ValueError(message)
+    return unique
+
+
+def check_max_count(max_count) -> None:
+    """Refuse a cap that is neither None nor an int."""
+    if max_count is not None:
+        check_ints("max_count must be None or an integer", (max_count, -math.inf))
 
 
 def check_cap(predicted: int, max_count, what: str) -> None:
@@ -34,6 +68,7 @@ def check_cap(predicted: int, max_count, what: str) -> None:
 
     `max_count=None` disables the guard.
     """
+    check_max_count(max_count)
     if max_count is not None and predicted > max_count:
         raise ResourceCapError(
             f"{what}: {predicted} structures predicted, cap is {max_count} "

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 from . import catalan
 from ._trusted import trusted
-from .errors import DEFAULT_MAX_ENUMERATION, check_cap, check_size
+from .errors import DEFAULT_MAX_ENUMERATION, check_cap, check_ints, check_pairs
 from .paths import GoodPath, Ornament
 from .trees import CycleRootedTree, _check_cycle, _rotated, canonical_cycle
 
@@ -46,21 +46,22 @@ class CyclicMultiset:
     f_map: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if type(self.k) is not int or self.k < 2:
-            raise ValueError("multisets need an integer k >= 2")
+        check_ints("multisets need an integer k >= 2", (self.k, 2))
         object.__setattr__(self, "cycle", _check_cycle(self.cycle))
         f_map = {}
         total = 0
-        for v, vec in self.f.items() if isinstance(self.f, dict) else self.f:
+        for v, vec in check_pairs(self.f, "f must be a dict or (label, vector) pairs"):
             if type(v) is not int:
                 raise ValueError(f"f is keyed by the integer cycle labels, not {v!r}")
-            vec = tuple(vec)
+            try:
+                vec = tuple(vec)
+            except TypeError:  # no vector at all: refused for its length
+                vec = ()
             if len(vec) != self.k - 1:
                 raise ValueError(
                     f"multiplicity vector of {v} must have length k-1 = {self.k - 1}"
                 )
-            if any(type(x) is not int or x < 0 for x in vec):
-                raise ValueError("multiplicities must be nonnegative integers")
+            check_ints("multiplicities must be nonnegative integers", *((x, 0) for x in vec))
             if v in f_map:
                 raise ValueError(f"f names vertex {v} twice")
             f_map[v] = vec
@@ -89,7 +90,7 @@ def _node_walk(m: CyclicMultiset, start: int):
 
 def segments_from(m: CyclicMultiset, label: int) -> list[Segment]:
     """All forward segments starting at (label, 1), one per end node."""
-    if label not in m.f_map:
+    if type(label) is not int or label not in m.f_map:
         raise ValueError(f"label {label} is not on the cycle")
     nodes = list(_node_walk(m, label))
     return [tuple(nodes[:t]) for t in range(1, len(nodes) + 1)]
@@ -132,21 +133,23 @@ def root_vertices(m: CyclicMultiset) -> set[int]:
 
 
 def _weak_compositions(total: int, parts: int):
-    """Tuples of `parts` nonnegative integers summing to `total`, lexicographic."""
+    """Tuples of `parts` nonnegative integers summing to `total`, lexicographic:
+    stars and bars, each part the stars between two neighboring bars, the
+    bars' places in lexicographic order."""
     if parts == 0:
         if total == 0:
             yield ()
         return
-    for head in range(total + 1):
-        for rest in _weak_compositions(total - head, parts - 1):
-            yield (head,) + rest
+    places = total + parts - 1
+    for bars in itertools.combinations(range(places), parts - 1):
+        yield tuple([b - a - 1 for a, b in zip((-1, *bars), (*bars, places))])
 
 
 def _multisets(k: int, n: int, max_count):
     """The cyclically ordered multisets on labels 1..n in enumerate_multisets
     order, which is the order of their ranks: the arguments checked once,
     on entry, each multiset built by `trusted`."""
-    check_size("enumerate_multisets needs k >= 2 and n >= 1", k, n)
+    check_ints("enumerate_multisets needs k >= 2 and n >= 1", (k, 2), (n, 1))
     check_cap(catalan.count_multisets(k, n), max_count, "cyclic multisets")
     for rest in itertools.permutations(range(2, n + 1)):
         for comp in _weak_compositions(n, n * (k - 1)):  # k-1 entries per label
@@ -220,11 +223,13 @@ def multiset_rank(m: CyclicMultiset) -> int:
 
 def multiset_unrank(k: int, n: int, r: int) -> CyclicMultiset:
     """The multiset of rank r on labels 1..n: the inverse of multiset_rank."""
-    if k < 2 or n < 1:
-        raise ValueError("multiset_unrank needs k >= 2 and n >= 1")
+    check_ints("multiset_unrank needs k >= 2 and n >= 1", (k, 2), (n, 1))
     width = n * (k - 1)
-    if not 0 <= r < catalan.count_multisets(k, n):
-        raise ValueError(f"rank {r} is outside [0, {catalan.count_multisets(k, n)})")
+    count = catalan.count_multisets(k, n)
+    outside = f"rank {r} is outside [0, {count})"
+    check_ints(outside, (r, 0))
+    if r >= count:
+        raise ValueError(outside)
     perm, comp = divmod(r, _compositions(n, width))
     digits = []
     for radix in range(1, n):  # least significant digit first
@@ -311,14 +316,12 @@ def multiset_to_ornament(m: CyclicMultiset, rooted=None) -> Ornament:
 # -- encoding of cycle-rooted trees ---------------------------------------------
 
 
-def cycle_tree_to_multiset(
-    c: CycleRootedTree, start_root: int | None = None
-) -> CyclicMultiset:
+def cycle_tree_to_multiset(c: CycleRootedTree) -> CyclicMultiset:
     """Encode a cycle-rooted tree as a cyclically ordered multiset.
 
     The cycle is the depth-first exploration order: each root in clockwise
-    cycle order from `start_root`, each followed by its subtree, children
-    explored leftmost slot first (start-independent as a cyclic order).
+    cycle order, each followed by its subtree, children explored leftmost
+    slot first (the same cyclic order from whichever root it starts).
     Each vertex reports the lengths of the maximal slot-chains that start
     at it, skipping the slot it occupies at its own parent since that
     chain is reported further up; roots report their first k-1 slots and
@@ -326,15 +329,11 @@ def cycle_tree_to_multiset(
     below the reporting one, which is what makes the multiplicities sum
     to n.
     """
-    if start_root is None:
-        start_root = c.cycle[0]
-    if start_root not in c.cycle:
-        raise ValueError("exploration must start at a cycle vertex")
     k, slot_map = c.k, c.slot_map
     slots = range(k - 1, -1, -1)  # right to left: the leftmost child is pushed last
     order: list[int] = []
     f = {}
-    for r in _rotated(c.cycle, start_root):
+    for r in c.cycle:
         # depth first, leftmost slot first: each vertex with the slot it
         # occupies, a root with its rightmost slot, which stays vacant
         stack = [(r, k - 1)]

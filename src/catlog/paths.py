@@ -23,13 +23,14 @@ from dataclasses import dataclass
 from . import catalan
 from ._trusted import trusted
 from .arith import factorial
-from .errors import DEFAULT_MAX_ENUMERATION, check_cap, check_labels, check_size
+from .errors import (DEFAULT_MAX_ENUMERATION, check_cap, check_ints, check_labels,
+                     check_parts)
 
 
 def is_good(k: int, steps: str) -> bool:
-    """True for a nonempty str over {R, U} with n rights and (k-1)n ups
-    whose every prefix keeps u <= (k-1)*r."""
-    if type(steps) is not str or k < 2 or not steps or steps.strip("RU"):
+    """True for an int k >= 2 and a nonempty str over {R, U} with n rights
+    and (k-1)n ups whose every prefix keeps u <= (k-1)*r."""
+    if type(steps) is not str or type(k) is not int or k < 2 or not steps or steps.strip("RU"):
         return False
     height = 0  # (k-1)*r - u, how far the prefix stays below the diagonal
     for ch in steps:
@@ -49,10 +50,12 @@ class GoodPath:
     labels: tuple[int, ...]
 
     def __post_init__(self):
-        labels = tuple(self.labels)
+        try:
+            labels = tuple(self.labels)
+        except TypeError:
+            raise ValueError("labels must be distinct positive integers") from None
         object.__setattr__(self, "labels", labels)
-        if type(self.k) is not int or self.k < 2:
-            raise ValueError("paths need an integer k >= 2")
+        check_ints("paths need an integer k >= 2", (self.k, 2))
         n = len(labels)
         if n < 1:
             raise ValueError("a path carries at least one label")
@@ -76,8 +79,8 @@ class MinimalField:
     parts: frozenset[GoodPath]
 
     def __post_init__(self):
-        if len(parts := frozenset(self.parts)) != len(self.parts):
-            raise ValueError("parts lists one part twice")
+        parts = check_parts(self.parts, GoodPath,
+                            "the parts of a field must be a collection of GoodPath")
         object.__setattr__(self, "parts", parts)
         if not parts:
             raise ValueError("a field holds at least one part")
@@ -104,6 +107,8 @@ class Ornament:
     rep: GoodPath
 
     def __post_init__(self):
+        if not isinstance(self.rep, GoodPath):
+            raise ValueError("an ornament representative must be a GoodPath")
         if not is_label_minimal(self.rep):
             raise ValueError("an ornament representative must be label-minimal")
 
@@ -266,7 +271,7 @@ def touch_count(o: Ornament) -> int:
 
 def _ornaments(k: int, n: int, max_count):
     """The ornaments on labels 1..n in enumerate_ornaments order."""
-    check_size("enumerate_paths needs k >= 2 and a nonempty label set", k, n)
+    check_ints("enumerate_paths needs k >= 2 and a nonempty label set", (k, 2), (n, 1))
     for p in _labeled_paths(k, range(1, n + 1), max_count, True):
         yield trusted(Ornament, rep=p)
 
@@ -306,11 +311,12 @@ def _set_partitions(items: list[int], blocks: int):
 def _fields(k: int, n: int, parts: int, max_count):
     """The minimal fields on labels 1..n with exactly `parts` parts in
     enumerate_fields order, one at a time."""
-    check_size("enumerate_fields needs k >= 2, n >= 1, parts >= 1", k, n, parts)
-    if parts > n:
-        return
+    check_ints("enumerate_fields needs k >= 2, n >= 1, parts >= 1",
+               (k, 2), (n, 1), (parts, 1))
     predicted = factorial(n) * catalan.coeff_log_power(k, n, parts) / factorial(parts)
     check_cap(int(predicted), max_count, "minimal fields")
+    if parts > n:
+        return
 
     def choices(blocks):  # one path per block, each block re-walked per earlier choice
         if not blocks:

@@ -14,10 +14,12 @@ from closed forms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import format_rational, parse_rational
+from .errors import check_ints
 
 
 def _as_fraction(c) -> Fraction:
@@ -31,7 +33,11 @@ class Series:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if len(self.coeffs) < 1:
+        try:
+            empty = len(self.coeffs) < 1
+        except TypeError:  # no collection of coefficients
+            empty = True
+        if empty:
             raise ValueError("a series needs at least its constant coefficient")
         object.__setattr__(self, "coeffs", tuple(_as_fraction(c) for c in self.coeffs))
 
@@ -39,8 +45,7 @@ class Series:
 
     @classmethod
     def constant(cls, value, order: int) -> "Series":
-        if order < 0:
-            raise ValueError("order must be >= 0")
+        check_ints("order must be >= 0", (order, 0))
         return cls((_as_fraction(value),) + (Fraction(0),) * order)
 
     @classmethod
@@ -53,6 +58,7 @@ class Series:
 
     @classmethod
     def x(cls, order: int) -> "Series":
+        check_ints("order must be >= 0", (order, 0))
         if order < 1:
             return cls.zero(order)
         return cls((Fraction(0), Fraction(1)) + (Fraction(0),) * (order - 1))
@@ -64,6 +70,7 @@ class Series:
         return len(self.coeffs) - 1
 
     def __getitem__(self, n: int) -> Fraction:
+        check_ints("a coefficient index must be an integer", (n, -math.inf))
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient {n} is beyond truncation order {self.order}")
         return self.coeffs[n]
@@ -115,8 +122,7 @@ class Series:
     __rmul__ = __mul__
 
     def __pow__(self, a: int) -> "Series":
-        if not isinstance(a, int) or a < 0:
-            raise ValueError("only nonnegative integer powers are defined")
+        check_ints("only nonnegative integer powers are defined", (a, 0))
         result = Series.one(self.order)
         for _ in range(a):
             result = result * self
@@ -187,10 +193,8 @@ def catalan_series(k: int, order: int) -> Series:
     Fixed-point iteration G <- 1 + x*G^k gains at least one exact
     coefficient per round, so order+1 rounds settle every coefficient.
     """
-    if k < 1:
-        raise ValueError("catalan_series needs k >= 1")
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    check_ints("catalan_series needs k >= 1", (k, 1))
+    check_ints("order must be >= 0", (order, 0))
     one = Series.one(order)
     x = Series.x(order)
     g = one

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 from . import catalan
 from ._trusted import trusted
-from .errors import DEFAULT_MAX_ENUMERATION, check_cap, check_labels, check_size
+from .errors import (DEFAULT_MAX_ENUMERATION, check_cap, check_ints, check_labels,
+                     check_pairs, check_parts)
 
 Slots = tuple[tuple[int, tuple[int | None, ...]], ...]
 Table = dict[int, tuple[int | None, ...]]
@@ -36,11 +37,14 @@ def canonical_cycle(seq) -> tuple[int, ...]:
 def _check_cycle(cycle) -> tuple[int, ...]:
     """A root cycle as stored: nonempty, distinct positive integer labels,
     minimal label first."""
-    cycle = tuple(cycle)
-    if not cycle or len(set(cycle)) != len(cycle):
+    try:
+        cycle = tuple(cycle)
+        repeats = len(set(cycle)) != len(cycle)
+    except TypeError:  # not iterable, or a label that cannot be hashed (refused below)
+        repeats = type(cycle) is not tuple
+    if not cycle or repeats:
         raise ValueError("the cycle must be a nonempty list of distinct labels")
-    if any(type(v) is not int or v < 1 for v in cycle):
-        raise ValueError("cycle labels must be positive integers")
+    check_ints("cycle labels must be positive integers", *((v, 1) for v in cycle))
     if cycle[0] != min(cycle):
         raise ValueError("the cycle must be stored starting at its minimal label")
     return cycle
@@ -75,8 +79,11 @@ def _slot_table(k: int, roots: tuple[int, ...], slots) -> Table:
     from `roots` meeting each occupant once: a k-ary forest with exactly
     these roots passes, and comes back sorted by vertex."""
     table = {}
-    for v, row in slots.items() if isinstance(slots, dict) else slots:
-        row = tuple(row)
+    for v, row in check_pairs(slots, "slots must be a dict or (vertex, row) pairs"):
+        try:
+            row = tuple(row)
+        except TypeError:  # no row at all: refused for its length
+            row = ()
         if len(row) != k:
             raise ValueError(f"slot array of vertex {v} must have length {k}")
         if type(v) is not int or v < 1:
@@ -130,8 +137,7 @@ class PlaneTree(_SlotTable):
     slots: Slots
 
     def __post_init__(self):
-        if type(self.k) is not int or self.k < 2:
-            raise ValueError("trees need an integer k >= 2")
+        check_ints("trees need an integer k >= 2", (self.k, 2))
         if type(self.root) is not int:
             raise ValueError("the root must be a positive integer")
         self._keep(_slot_table(self.k, (self.root,), self.slots))
@@ -142,8 +148,8 @@ class RootMinimalForest:
     parts: frozenset[PlaneTree]
 
     def __post_init__(self):
-        if len(parts := frozenset(self.parts)) != len(self.parts):
-            raise ValueError("parts lists one part twice")
+        parts = check_parts(self.parts, PlaneTree,
+                            "the parts of a forest must be a collection of PlaneTree")
         object.__setattr__(self, "parts", parts)
         if not parts:
             raise ValueError("a forest holds at least one tree")
@@ -176,8 +182,7 @@ class CycleRootedTree(_SlotTable):
     slots: Slots
 
     def __post_init__(self):
-        if type(self.k) is not int or self.k < 2:
-            raise ValueError("trees need an integer k >= 2")
+        check_ints("trees need an integer k >= 2", (self.k, 2))
         object.__setattr__(self, "cycle", _check_cycle(self.cycle))
         self._keep(_slot_table(self.k, self.cycle, self.slots))
         for r in self.cycle:
@@ -324,7 +329,7 @@ def _cycle_rooted(k: int, n: int, max_count):
     """The cycle-rooted trees on labels 1..n in enumerate_cycle_rooted
     order: each cycle, minimal label first, as the roots of the slot search;
     the arguments checked once, on entry, each tree built by `trusted`."""
-    check_size("enumerate_cycle_rooted needs k >= 2 and n >= 1", k, n)
+    check_ints("enumerate_cycle_rooted needs k >= 2 and n >= 1", (k, 2), (n, 1))
     check_cap(catalan.count_ornaments(k, n), max_count, "cycle-rooted trees")
     labels = tuple(range(1, n + 1))
     stack = [(v,) for v in reversed(labels)]

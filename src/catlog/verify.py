@@ -16,7 +16,7 @@ from functools import lru_cache
 from . import catalan, multisets, paths, trees
 from . import series as fps
 from .arith import factorial
-from .errors import DEFAULT_MAX_ENUMERATION
+from .errors import DEFAULT_MAX_ENUMERATION, check_ints, check_max_count
 
 
 @dataclass(frozen=True)
@@ -401,11 +401,14 @@ def run_suite(
     grid; the report lists the results suite by suite in SUITES order."""
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
+    check_ints("max_n must be >= 1", (max_n, 1))
+    check_max_count(max_count)  # before the grid cache hashes it
+    try:
+        ks = list(ks)
+    except TypeError:  # not a collection: refused below as no k values
+        ks = []
+    check_ints("k values must be >= 1", (len(ks), 1), *((k, 1) for k in ks))
     ks = sorted(set(ks))
-    if not ks or any(k < 1 for k in ks):
-        raise ValueError("k values must be >= 1")
     if suite not in ("series", "all") and any(k < 2 for k in ks):
         raise ValueError(f"suite {suite!r} works on structures and needs k >= 2")
     asked = SUITES if suite == "all" else (suite,)

@@ -3,6 +3,8 @@ import io
 import itertools
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -577,3 +579,43 @@ def test_python_m_catlog():
     result = run_python("-m", "catlog", "coeff", "--k", "2", "--max-n", "3")
     assert result.returncode == 0, result.stderr
     assert "10/3" in result.stdout
+
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def readme_block(language: str, needle: str) -> str:
+    """The README's first fenced `language` block that contains `needle`."""
+    blocks = re.findall(rf"^```{language}\n(.*?)^```", README, re.M | re.S)
+    return next(b for b in blocks if needle in b)
+
+
+class TestReadme:
+    """The README's examples run as written, so a change that breaks one
+    fails the suite."""
+
+    def test_quick_tour(self):
+        tour = readme_block("python", "import catlog")
+        namespace = {}
+        exec(compile(tour, "README.md", "exec"), namespace)
+        stated = int(re.search(r"orns = .*# (\d+) of them", tour).group(1))
+        assert len(namespace["orns"]) == stated == 20
+
+    def test_command_line(self, capsys, monkeypatch):
+        lines = readme_block("sh", "catlog ").replace("\\\n", " ").splitlines()
+        pipelines = [shlex.split(line) for line in lines
+                     if line.strip() and not line.lstrip().startswith("#")]
+        assert pipelines
+        for words in pipelines:
+            text = ""
+            stages = [list(g) for bar, g in itertools.groupby(words, "|".__eq__) if not bar]
+            for stage in stages:
+                if stage[0] == "echo":
+                    text = " ".join(stage[1:]) + "\n"
+                    continue
+                assert stage[0] == "catlog", stage
+                feed(monkeypatch, text)
+                code, text, err = run(capsys, *stage[1:])
+                assert code == 0, (stage, err)
+            if stages[0][1] == "enumerate":
+                assert json.loads(text.splitlines()[-1])["count"] == 20

@@ -9,6 +9,7 @@ import io
 import random
 
 import pytest
+from test_multisets import cycle_tree_to_multiset_before
 
 from catlog import serialize
 from catlog.cli import _ENUMERATORS, main
@@ -108,7 +109,9 @@ def bijection_outputs_on_grid(k, n):
         yield from (multiset_to_ornament(m), multiset_to_cycle_tree(m))
     for c in enumerate_cycle_rooted(k, n):
         yield to_root_minimal(c)
-        yield from (cycle_tree_to_multiset(c, r) for r in c.cycle)
+        m = cycle_tree_to_multiset(c)
+        assert all(m == cycle_tree_to_multiset_before(c, r) for r in c.cycle)
+        yield m
     for t in enumerate_trees(k, labels):
         forest = tree_to_forest(t)
         yield from (forest, forest_to_tree(forest))
@@ -161,8 +164,9 @@ def bijection_outputs_from(p):
     forest = RootMinimalForest(
         [to_root_minimal(ornament_to_cycle_tree(to_ornament(q))) for q in f.parts])
     glued = forest_to_tree(forest)
-    yield from (f, recompose(f), o, *rotations(p), m, multiset_to_ornament(m), c,
-                cycle_tree_to_multiset(c), cycle_tree_to_multiset(c, c.cycle[-1]),
+    encoded = cycle_tree_to_multiset(c)
+    assert all(encoded == cycle_tree_to_multiset_before(c, r) for r in (c.cycle[0], c.cycle[-1]))
+    yield from (f, recompose(f), o, *rotations(p), m, multiset_to_ornament(m), c, encoded,
                 t, to_cycle_rooted(t), tree_to_forest(t), glued, tree_to_forest(glued))
 
 
