@@ -186,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--n", type=int, required=True)
     e.add_argument("--force", action="store_true",
                    help="ignore the enumeration size cap")
-    e.add_argument("--format", choices=("jsonl",), default="jsonl")
     e.add_argument("--output")
     e.set_defaults(func=cmd_enumerate)
 

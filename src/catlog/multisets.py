@@ -136,10 +136,6 @@ def _weak_compositions(total: int, parts: int):
     """Tuples of `parts` nonnegative integers summing to `total`, lexicographic:
     stars and bars, each part the stars between two neighboring bars, the
     bars' places in lexicographic order."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
     places = total + parts - 1
     for bars in itertools.combinations(range(places), parts - 1):
         yield tuple([b - a - 1 for a, b in zip((-1, *bars), (*bars, places))])

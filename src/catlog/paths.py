@@ -86,13 +86,12 @@ class MinimalField:
             raise ValueError("a field holds at least one part")
         if len({p.k for p in parts}) != 1:
             raise ValueError("all parts of a field must share the same k")
-        seen: set[int] = set()
-        for part in parts:
-            if not is_label_minimal(part):
-                raise ValueError("every part of a field must be label-minimal")
-            if seen & set(part.labels):
-                raise ValueError("label sets of field parts must be disjoint")
-            seen.update(part.labels)
+        # one invariant at a time over every part, so that the verdict is
+        # the same in any set order
+        if not all(map(is_label_minimal, parts)):
+            raise ValueError("every part of a field must be label-minimal")
+        if sum(p.n for p in parts) != len(set().union(*(p.labels for p in parts))):
+            raise ValueError("label sets of field parts must be disjoint")
 
     @property
     def k(self) -> int:
@@ -145,22 +144,25 @@ def is_label_minimal(p: GoodPath) -> bool:
 
 
 def _good_words(k: int, n: int):
-    """All good step words of size n, in lexicographic order (R < U)."""
-    word: list[str] = []
-
-    def rec(r: int, u: int):
-        if r == n:
-            yield "".join(word) + "U" * ((k - 1) * n - u)
+    """All good step words of size n, in lexicographic order (R < U). Each
+    word after the first is the successor of the one before: its last R
+    that may become a U turns into one, then come the Rs left, then the
+    Us left. Iterative, so a word of any length needs no recursion."""
+    ups = (k - 1) * n
+    word = "R" * n + "U" * ups
+    while True:
+        yield word
+        r, u = n, ups  # the steps of each kind in word[:i]
+        for i in range(len(word) - 1, -1, -1):
+            if word[i] == "U":
+                u -= 1
+            else:
+                r -= 1
+                if u < (k - 1) * r:  # word[:i] + "U" keeps u <= (k-1)*r
+                    break
+        else:
             return
-        word.append("R")
-        yield from rec(r + 1, u)
-        word.pop()
-        if u < (k - 1) * r:
-            word.append("U")
-            yield from rec(r, u + 1)
-            word.pop()
-
-    yield from rec(0, 0)
+        word = word[:i] + "U" + "R" * (n - r) + "U" * (ups - u - 1)
 
 
 def _labeled_paths(k: int, labels, max_count, minimal: bool):

@@ -20,54 +20,42 @@ def _slots_obj(slots) -> dict:
     return {str(v): list(row) for v, row in slots}
 
 
-def _as_int(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
+def _int(value):
+    """A JSON string read through int(); any other value as it is, for the
+    constructor to judge."""
+    return int(value) if type(value) is str else value
 
 
-def _ints(values) -> list[int]:
-    """The values as ints, in order: ints as they are, strings through
-    int() as _as_int would, a mix through _as_int, which names the first
-    value it refuses. The type test runs in C, once per value."""
-    types = set(map(type, values))
-    if types <= {int}:
-        return list(values)
-    return list(map(int if types == {str} else _as_int, values))
-
-
-def _int_list(values, field: str) -> list[int]:
+def _ints(values, field: str) -> list:
+    """The list `values` through _int; the type test runs in C, once per value."""
     if not isinstance(values, list):
         raise ValueError(f"{field} must be a list")
-    return _ints(values)
+    return list(map(_int, values)) if str in set(map(type, values)) else values
 
 
 def _keyed(obj, field: str) -> list:
     """(vertex, value) pairs; the constructors reject a vertex named twice."""
     if not isinstance(obj, dict):
         raise ValueError(f"{field} must be an object keyed by vertex")
-    return list(zip(_ints(obj), obj.values()))
+    return list(zip(map(int, obj), obj.values()))
 
 
 def _slots_from_obj(obj) -> list:
-    """(vertex, row) pairs; rows holding only ints and nulls go to the
-    constructor as given, which type-tests every occupant it meets."""
+    """(vertex, row) pairs; rows holding no string go to the constructor
+    as given, which type-tests every occupant it meets."""
     rows = _keyed(obj, "slots")
     if not all(map(isinstance, obj.values(), itertools.repeat(list))):
         raise ValueError("each slot array must be a list")
-    if set(map(type, itertools.chain.from_iterable(obj.values()))) <= {int, type(None)}:
+    if str not in set(map(type, itertools.chain.from_iterable(obj.values()))):
         return rows
-    return [(v, tuple(None if c is None else _as_int(c) for c in row)) for v, row in rows]
+    return [(v, tuple(map(_int, row))) for v, row in rows]
 
 
-def _parts(values, kind: str, cls) -> list:
-    """The parts of a field or forest; each must be a `kind` object."""
+def _parts(values) -> list:
+    """The parts of a field or forest; the constructor checks their kind."""
     if not isinstance(values, list):
         raise ValueError("parts must be a list")
-    parts = [from_obj(p) for p in values]
-    if any(type(p) is not cls for p in parts):
-        raise ValueError(f"every part must be a {kind} object")
-    return parts
+    return [from_obj(p) for p in values]
 
 
 # the "kind" of each structure type, in the order the CLI lists them
@@ -121,29 +109,27 @@ def from_obj(obj):
     kind = obj["kind"]
     try:
         if kind in ("path", "ornament"):
-            labels = _int_list(obj["labels"], "labels")
-            p = GoodPath(_as_int(obj["k"]), str(obj["steps"]), labels)
+            labels = _ints(obj["labels"], "labels")
+            p = GoodPath(_int(obj["k"]), obj["steps"], labels)
             return p if kind == "path" else Ornament(p)
         if kind == "field":
-            return MinimalField(_parts(obj["parts"], "path", GoodPath))
+            return MinimalField(_parts(obj["parts"]))
         if kind == "tree":
-            return PlaneTree(
-                _as_int(obj["k"]), _as_int(obj["root"]), _slots_from_obj(obj["slots"])
-            )
+            return PlaneTree(_int(obj["k"]), _int(obj["root"]), _slots_from_obj(obj["slots"]))
         if kind == "forest":
-            return RootMinimalForest(_parts(obj["parts"], "tree", PlaneTree))
+            return RootMinimalForest(_parts(obj["parts"]))
         if kind == "cycle-tree":
             return CycleRootedTree(
-                _as_int(obj["k"]),
-                _int_list(obj["cycle"], "cycle"),
+                _int(obj["k"]),
+                _ints(obj["cycle"], "cycle"),
                 _slots_from_obj(obj["slots"]),
             )
         if kind == "multiset":
             return CyclicMultiset(
-                _as_int(obj["k"]),
-                _int_list(obj["cycle"], "cycle"),
+                _int(obj["k"]),
+                _ints(obj["cycle"], "cycle"),
                 [
-                    (v, _int_list(vec, "each vector of f"))
+                    (v, _ints(vec, "each vector of f"))
                     for v, vec in _keyed(obj["f"], "f")
                 ],
             )

@@ -155,13 +155,12 @@ class RootMinimalForest:
             raise ValueError("a forest holds at least one tree")
         if len({t.k for t in parts}) != 1:
             raise ValueError("all trees of a forest must share the same k")
-        seen: set[int] = set()
-        for t in parts:
-            if not is_root_minimal(t):
-                raise ValueError("every tree of the forest must be root-minimal")
-            if not seen.isdisjoint(t.slot_map):
-                raise ValueError("vertex sets of forest trees must be disjoint")
-            seen.update(t.slot_map)
+        # one invariant at a time over every part, so that the verdict is
+        # the same in any set order
+        if not all(map(is_root_minimal, parts)):
+            raise ValueError("every tree of the forest must be root-minimal")
+        if sum(t.n for t in parts) != len(set().union(*(t.slot_map for t in parts))):
+            raise ValueError("vertex sets of forest trees must be disjoint")
 
     @property
     def k(self) -> int:

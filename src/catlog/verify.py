@@ -372,19 +372,14 @@ def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResu
         bij.append(for_all("rotation-class-constant"))
 
     if statistics:
-        expected = {
-            p: factorial(n) * catalan.returns_count(k, n, p) // p
-            for p in range(1, n + 1)
-        }
-        expected = {p: c for p, c in expected.items() if c}
+        labeled_expected = {p: factorial(n) * catalan.returns_count(k, n, p)
+                            for p in range(1, n + 1)}
+        expected = {p: c // p for p, c in labeled_expected.items()}
         touch_dist, cycle_dist = dict(touch_dist), dict(cycle_dist)
         stat.append(_check("touch-distribution", k, n, touch_dist == expected,
                            f"{expected} vs {touch_dist}"))
         stat.append(_check("cycle-length-distribution", k, n,
                            cycle_dist == expected, f"{expected} vs {cycle_dist}"))
-        labeled_expected = {p: factorial(n) * catalan.returns_count(k, n, p)
-                            for p in range(1, n + 1)}
-        labeled_expected = {p: c for p, c in labeled_expected.items() if c}
         stat.append(_check("labeled-touch-distribution", k, n,
                            dict(word_dist) == labeled_expected))
         stat.append(for_all("ornament-root-vertices"))

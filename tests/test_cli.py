@@ -1,8 +1,10 @@
+import copy
 import hashlib
 import io
 import itertools
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -16,8 +18,9 @@ import pytest
 import catlog.catalan
 from catlog import serialize
 from catlog.cli import main
+from catlog.multisets import CyclicMultiset
 from catlog.paths import GoodPath, MinimalField, to_ornament
-from catlog.trees import CycleRootedTree, PlaneTree
+from catlog.trees import CycleRootedTree, PlaneTree, RootMinimalForest
 
 
 def run(capsys, *argv):
@@ -30,13 +33,14 @@ def feed(monkeypatch, text: str):
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
 
 
-def run_python(*args):
-    """Run a fresh interpreter that imports catlog from this checkout."""
+def run_python(*args, stdin=None, **extra_env):
+    """Run a fresh interpreter that imports catlog from this checkout, with
+    `stdin` as its input and `extra_env` added to its environment."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
+    env = dict(os.environ, **extra_env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
-                          text=True, timeout=60)
+    return subprocess.run([sys.executable, *args], env=env, input=stdin,
+                          capture_output=True, text=True, timeout=60)
 
 
 class TestCoeff:
@@ -209,6 +213,11 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--suite", "counts", "--k", "2", "--max-n", "0")
         assert code == 2
 
+    def test_k_that_is_no_integer_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "all", "--k", "2,x")
+        assert (code, out) == (2, "")
+        assert err == "error: --k wants an integer or comma list, got '2,x'\n"
+
     def test_k1_structures_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "verify", "--suite", "counts", "--k", "1", "--max-n", "2")
         assert code == 2
@@ -299,6 +308,10 @@ class TestMap:
         assert json.loads(dst.read_text())["labels"] == [4]
 
 
+SINGLE_PATH = '{"kind":"path","k":2,"steps":"RU","labels":[1]}'
+SINGLE_TREE = '{"kind":"tree","k":2,"root":1,"slots":{"1":[null,null]}}'
+
+
 class TestRender:
     def test_small_path_grid(self, capsys, monkeypatch):
         feed(monkeypatch, '{"kind":"path","k":2,"steps":"RU","labels":[1]}')
@@ -326,14 +339,18 @@ class TestRender:
         assert code == 0
         assert "[2] 1" in out and "[1] -" in out
 
+    @pytest.mark.parametrize("text, kind", [
+        ('{"kind":"field","parts":[%s]}' % SINGLE_PATH, "MinimalField"),
+        ('{"kind":"forest","parts":[%s]}' % SINGLE_TREE, "RootMinimalForest"),
+    ])
+    def test_field_and_forest_are_not_drawn(self, capsys, monkeypatch, text, kind):
+        feed(monkeypatch, text)
+        assert run(capsys, "render") == (2, "", f"error: cannot render {kind}\n")
+
     def test_malformed(self, capsys, monkeypatch):
         feed(monkeypatch, '{"kind":"multiset","k":2,"cycle":[1],"f":{"1":[1]}}')
         code, _, err = run(capsys, "render")
         assert code == 2
-
-
-SINGLE_PATH = '{"kind":"path","k":2,"steps":"RU","labels":[1]}'
-SINGLE_TREE = '{"kind":"tree","k":2,"root":1,"slots":{"1":[null,null]}}'
 
 
 class TestShapeErrors:
@@ -374,21 +391,11 @@ class TestShapeErrors:
          "multiplicities sum to 3, must equal the label count 2"),
         ('{"kind":"multiset","k":2,"cycle":[-1,0],"f":{"0":[1],"-1":[1]}}',
          "cycle labels must be positive integers"),
-        # a bool, float, list or non-digit string where an int belongs,
-        # among ints or alone
-        ('{"kind":"path","k":2,"steps":"RURU","labels":[1,true]}', "expected an integer, got True"),
-        ('{"kind":"path","k":2,"steps":"RURU","labels":[1.0,2]}', "expected an integer, got 1.0"),
-        ('{"kind":"path","k":2,"steps":"RU","labels":[1.0]}', "expected an integer, got 1.0"),
-        ('{"kind":"path","k":2,"steps":"RU","labels":[true]}', "expected an integer, got True"),
-        ('{"kind":"path","k":2,"steps":"RU","labels":[[1]]}', "expected an integer, got [1]"),
-        ('{"kind":"multiset","k":2,"cycle":[1,2.0],"f":{"1":[1],"2":[1]}}',
-         "expected an integer, got 2.0"),
-        ('{"kind":"multiset","k":2,"cycle":[1],"f":{"1":[false]}}',
-         "expected an integer, got False"),
-        ('{"kind":"tree","k":2,"root":1,"slots":{"1":[true,null]}}',
-         "expected an integer, got True"),
-        ('{"kind":"cycle-tree","k":2,"cycle":[1],"slots":{"1":[2.0,null],"2":[null,null]}}',
-         "expected an integer, got 2.0"),
+        # JSON that is no structure object, and a slot array that is no list
+        ('[1]', "input must be a JSON object with a 'kind' field"),
+        ('{"k":2}', "input must be a JSON object with a 'kind' field"),
+        ('{"kind":"tree","k":2,"root":1,"slots":{"1":5}}', "each slot array must be a list"),
+        # a string that is no integer
         ('{"kind":"tree","k":2,"root":1,"slots":{"1":[null,"2"],"2":[null,"x"]}}',
          "invalid literal for int() with base 10: 'x'"),
         ('{"kind":"tree","k":2,"root":1,"slots":{"1":[null,null],"2.0":[null,null]}}',
@@ -401,6 +408,122 @@ class TestShapeErrors:
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert field in err
+
+
+# a bool, float, list or non-string where an int or a str belongs, as JSON,
+# and the same value handed to the Python constructor: the JSON layer hands
+# it on, and map and render refuse it with the constructor's own message
+WRONG_TYPES = [
+    ('{"kind":"path","k":2,"steps":"RURU","labels":[1,true]}',
+     lambda: GoodPath(2, "RURU", [1, True])),
+    ('{"kind":"path","k":2,"steps":"RURU","labels":[1.0,2]}',
+     lambda: GoodPath(2, "RURU", [1.0, 2])),
+    ('{"kind":"path","k":2,"steps":"RU","labels":[1.0]}', lambda: GoodPath(2, "RU", [1.0])),
+    ('{"kind":"path","k":2,"steps":"RU","labels":[true]}', lambda: GoodPath(2, "RU", [True])),
+    ('{"kind":"path","k":2,"steps":"RU","labels":[[1]]}', lambda: GoodPath(2, "RU", [[1]])),
+    ('{"kind":"multiset","k":2,"cycle":[1,2.0],"f":{"1":[1],"2":[1]}}',
+     lambda: CyclicMultiset(2, [1, 2.0], [(1, [1]), (2, [1])])),
+    ('{"kind":"multiset","k":2,"cycle":[1],"f":{"1":[false]}}',
+     lambda: CyclicMultiset(2, [1], [(1, [False])])),
+    ('{"kind":"tree","k":2,"root":1,"slots":{"1":[true,null]}}',
+     lambda: PlaneTree(2, 1, [(1, [True, None])])),
+    ('{"kind":"cycle-tree","k":2,"cycle":[1],"slots":{"1":[2.0,null],"2":[null,null]}}',
+     lambda: CycleRootedTree(2, [1], [(1, [2.0, None]), (2, [None, None])])),
+    ('{"kind":"path","k":2.0,"steps":"RU","labels":[1]}', lambda: GoodPath(2.0, "RU", [1])),
+    ('{"kind":"tree","k":true,"root":1,"slots":{"1":[null]}}',
+     lambda: PlaneTree(True, 1, [(1, [None])])),
+    ('{"kind":"multiset","k":2.0,"cycle":[1],"f":{"1":[1]}}',
+     lambda: CyclicMultiset(2.0, [1], [(1, [1])])),
+    ('{"kind":"tree","k":2,"root":1.0,"slots":{"1":[null,null]}}',
+     lambda: PlaneTree(2, 1.0, [(1, [None, None])])),
+    ('{"kind":"path","k":2,"steps":["R","U"],"labels":[1]}',
+     lambda: GoodPath(2, ["R", "U"], [1])),
+    ('{"kind":"path","k":2,"steps":5,"labels":[1]}', lambda: GoodPath(2, 5, [1])),
+    ('{"kind":"forest","parts":[%s]}' % SINGLE_PATH,
+     lambda: RootMinimalForest([GoodPath(2, "RU", [1])])),
+    ('{"kind":"field","parts":[%s]}' % SINGLE_TREE,
+     lambda: MinimalField([PlaneTree(2, 1, [(1, [None, None])])])),
+]
+
+
+@pytest.mark.parametrize("text, build", WRONG_TYPES, ids=[text for text, _ in WRONG_TYPES])
+@pytest.mark.parametrize("argv", [("map", "--target", "ornament"), ("render",),
+                                  ("map", "--target", "multiset")])
+def test_wrong_type_gets_the_constructor_message(capsys, monkeypatch, text, build, argv):
+    with pytest.raises(ValueError) as refused:
+        build()
+    feed(monkeypatch, text)
+    assert run(capsys, *argv) == (2, "", f"error: {refused.value}\n")
+
+
+# values a mutation writes over a field, an entry or a slot of valid JSON
+MUTANTS = [0, -1, 2, 10**30, 1.0, 2.5, float("nan"), True, None, "1", "01", "x", "RU",
+           [], [1], [None], {}, {"1": [None, None]}, {"kind": "path"}]
+
+
+def _mutated(obj, rng):
+    """obj with one to three of its values replaced or deleted, or a key added."""
+    for _ in range(rng.randint(1, 3)):
+        spots, stack = [], [obj]
+        while stack:  # every (container, key) pair below obj
+            x = stack.pop()
+            keys = x if isinstance(x, dict) else range(len(x)) if isinstance(x, list) else ()
+            spots += [(x, key) for key in keys]
+            stack += [x[key] for key in keys]
+        x, key = rng.choice(spots)
+        if isinstance(x, dict) and rng.random() < 0.2:
+            del x[key]
+        elif isinstance(x, dict) and rng.random() < 0.2:
+            x[str(rng.randint(0, 5))] = copy.deepcopy(rng.choice(MUTANTS))
+        else:
+            x[key] = copy.deepcopy(rng.choice(MUTANTS))
+    return obj
+
+
+def test_mutated_json_exits_0_or_2(monkeypatch):
+    """Seeded mutations of valid inputs: every map and render call returns
+    0 or 2, and no exception escapes main."""
+    rng = random.Random(2023)
+    valid = [serialize.to_obj(x) for x in (
+        GoodPath(3, "RUURRUUUURUU", (5, 2, 4, 1)), to_ornament(GoodPath(2, "RRUU", (2, 1))),
+        MinimalField({GoodPath(2, "RU", (1,)), GoodPath(2, "RRUU", (3, 2))}),
+        PlaneTree(2, 2, {2: (3, 1), 1: (None, None), 3: (None, None)}),
+        RootMinimalForest({PlaneTree(2, 2, {2: (None, None)}),
+                           PlaneTree(2, 1, {1: (None, None)})}),
+        CycleRootedTree(3, (1, 3), {1: (2, None, None), 2: (None,) * 3, 3: (None,) * 3}),
+        CyclicMultiset(3, (1, 3, 2), {1: (0, 2), 2: (1, 0), 3: (0, 0)}),
+    )]
+    targets = [("render",)] + [("map", "--target", kind) for kind in serialize.KINDS.values()]
+    codes = set()
+    for _ in range(3000):
+        feed(monkeypatch, json.dumps(_mutated(copy.deepcopy(rng.choice(valid)), rng)))
+        codes.add(main(list(rng.choice(targets))))
+    assert codes == {0, 2}
+
+
+def _part(kind: str, **fields) -> str:
+    return json.dumps({"kind": kind, "k": 2, **fields})
+
+
+@pytest.mark.parametrize("text, message", [
+    # a part that is not label-minimal, and two parts sharing label 3
+    ('{"kind":"field","parts":[%s,%s,%s]}' % (
+        _part("path", steps="RURU", labels=[2, 1]), _part("path", steps="RU", labels=[3]),
+        _part("path", steps="RURU", labels=[3, 4])),
+     "every part of a field must be label-minimal"),
+    # a tree that is not root-minimal, and two trees sharing vertex 3
+    ('{"kind":"forest","parts":[%s,%s,%s]}' % (
+        _part("tree", root=2, slots={"2": [None, 1], "1": [None, None]}),
+        _part("tree", root=3, slots={"3": [None, None]}),
+        _part("tree", root=4, slots={"4": [3, None], "3": [None, None]})),
+     "every tree of the forest must be root-minimal"),
+], ids=["field", "forest"])
+def test_two_broken_invariants_get_one_verdict_in_every_process(text, message):
+    """The set order of the parts changes from process to process: str
+    hashes are seeded, and None hashed by address before Python 3.12."""
+    for seed in range(6):
+        result = run_python("-m", "catlog", "render", stdin=text, PYTHONHASHSEED=str(seed))
+        assert (result.returncode, result.stderr) == (2, f"error: {message}\n"), seed
 
 
 def _digit_strings(obj, every: int):
@@ -527,6 +650,11 @@ class TestUsage:
     def test_unknown_suite(self, capsys):
         code, _, _ = run(capsys, "verify", "--suite", "everything")
         assert code == 2
+
+    def test_enumerate_has_no_format_option(self, capsys):
+        code, _, err = run(capsys, "enumerate", "--structure", "paths", "--k", "2",
+                           "--n", "1", "--format", "jsonl")
+        assert code == 2 and "unrecognized arguments: --format" in err
 
 
 class TestSharedParser:

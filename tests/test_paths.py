@@ -8,6 +8,7 @@ from catlog.arith import factorial
 from catlog.catalan import coeff_log_power, count_ornaments, count_paths, returns_count
 from catlog.errors import ResourceCapError
 from catlog.multisets import enumerate_multisets
+from catlog import paths
 from catlog.paths import (
     GoodPath,
     MinimalField,
@@ -118,6 +119,10 @@ class TestGoodPath:
     def test_bad_word_rejected(self):
         with pytest.raises(ValueError):
             GoodPath(2, "RUUR", (1, 2))
+
+    def test_a_path_needs_a_label(self):
+        with pytest.raises(ValueError, match="^a path carries at least one label$"):
+            GoodPath(2, "", ())
 
     def test_label_count_must_match(self):
         with pytest.raises(ValueError):
@@ -238,6 +243,15 @@ class TestRecompose:
     def test_non_minimal_part_rejected(self):
         with pytest.raises(ValueError):
             MinimalField(frozenset({GoodPath(2, "RURU", (2, 1))}))
+
+    @pytest.mark.parametrize("parts, message", [
+        ((), "a field holds at least one part"),
+        ((GoodPath(2, "RU", (1,)), GoodPath(3, "RUU", (2,))),
+         "all parts of a field must share the same k"),
+    ], ids=["empty", "mixed-k"])
+    def test_field_invariants(self, parts, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MinimalField(parts)
 
 
 class TestOrnaments:
@@ -420,6 +434,44 @@ class TestFields:
         images = {decompose(p) for p in enumerate_paths(k, range(1, n + 1))}
         assert images == set(all_fields)
         assert len(all_fields) == len(set(all_fields))
+
+
+def recursive_good_words(k: int, n: int):
+    """The good words by a depth-first walk, one level per step: the order
+    oracle for the iterative successor walk."""
+    word: list[str] = []
+
+    def rec(r: int, u: int):
+        if r == n:
+            yield "".join(word) + "U" * ((k - 1) * n - u)
+            return
+        word.append("R")
+        yield from rec(r + 1, u)
+        word.pop()
+        if u < (k - 1) * r:
+            word.append("U")
+            yield from rec(r, u + 1)
+            word.pop()
+
+    yield from rec(0, 0)
+
+
+class TestGoodWords:
+    @pytest.mark.parametrize("k, max_n", [(2, 7), (3, 5), (4, 4)])
+    def test_same_order_as_the_recursive_walk(self, k, max_n):
+        for n in range(1, max_n + 1):
+            assert list(paths._good_words(k, n)) == list(recursive_good_words(k, n)), n
+
+    @pytest.mark.parametrize("walk", [
+        lambda n: paths._labeled_paths(2, range(1, n + 1), None, False),
+        lambda n: paths._labeled_paths(3, range(1, n + 1), None, True),
+        lambda n: (o.rep for o in paths._ornaments(3, n, None)),
+    ], ids=["paths", "minimal-paths", "ornaments"])
+    def test_first_structure_at_n_1500(self, walk):
+        # a walk one level deep per step would pass the recursion limit here
+        first = next(walk(1500))
+        assert first.steps == "R" * 1500 + "U" * ((first.k - 1) * 1500)
+        assert first.labels == tuple(range(1, 1501))
 
 
 class TestDeterminism:

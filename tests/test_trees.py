@@ -94,6 +94,8 @@ class TestValidation:
     def test_canonical_cycle_helper(self):
         assert canonical_cycle((3, 1, 2)) == (1, 2, 3)
         assert canonical_cycle((1,)) == (1,)
+        with pytest.raises(ValueError, match="^empty cycle$"):
+            canonical_cycle([])
 
 
 class TestRightmostBranch:
@@ -201,6 +203,15 @@ class TestForestBijection:
         part = tree(2, 1, {1: leaf_row(2)})
         with pytest.raises(ValueError, match="parts lists one part twice"):
             RootMinimalForest([part, part])
+
+    @pytest.mark.parametrize("parts, message", [
+        ((), "a forest holds at least one tree"),
+        ((tree(2, 1, {1: leaf_row(2)}), tree(3, 2, {2: leaf_row(3)})),
+         "all trees of a forest must share the same k"),
+    ], ids=["empty", "mixed-k"])
+    def test_forest_invariants(self, parts, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            RootMinimalForest(parts)
 
     def test_forest_validation(self):
         with pytest.raises(ValueError):

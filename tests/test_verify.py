@@ -34,6 +34,11 @@ def test_all_is_the_suites_in_order(ks, max_n):
     assert combined == alone
 
 
+def test_unknown_suite():
+    with pytest.raises(ValueError, match="^unknown suite 'nope'$"):
+        run_suite("nope", [2], 3)
+
+
 def test_pinned_report_bytes(capsys):
     code = main(["verify", "--suite", "all", "--k", "2,3", "--max-n", "4",
                  "--format", "json"])
