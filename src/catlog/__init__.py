@@ -33,9 +33,6 @@ from .multisets import (
     ornament_to_cycle_tree,
     ornament_to_multiset,
     root_vertices,
-    scope,
-    segments_from,
-    weight,
 )
 from .paths import (
     GoodPath,

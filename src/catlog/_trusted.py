@@ -14,7 +14,7 @@ def trusted(cls, **fields):
     as a frozenset.
     Nothing is checked here: the enumerators check their arguments on
     entry, they and the bijections build only valid structures, and the
-    verify suites and the tests compare those with public rebuilds.
+    verify suites run the constructors' checks on those in place.
     """
     obj = object.__new__(cls)
     obj.__dict__.update(fields)  # the instance dict that __init__ would fill

@@ -16,6 +16,7 @@ import contextlib
 import functools
 import itertools
 import json
+import os
 import sys
 
 from . import catalan, multisets, paths, render, serialize, trees, verify
@@ -84,7 +85,20 @@ def _sink(args):
     """The --output file opened for writing, or stdout left open."""
     if getattr(args, "output", None):
         return open(args.output, "w", encoding="utf-8")
-    return contextlib.nullcontext(sys.stdout)
+    return _stdout()
+
+
+@contextlib.contextmanager
+def _stdout():
+    """stdout, left open. A reader that closes it early, as `| head` does,
+    ends the output quietly and the command returns its own exit code."""
+    try:
+        yield sys.stdout
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+    except BrokenPipeError:  # devnull, so that the flush at exit raises nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _emit(text: str, args) -> None:

@@ -57,6 +57,21 @@ def check_parts(parts, cls, message: str) -> frozenset:
     return unique
 
 
+def check_stored(table, pairs, width: int, least=None) -> None:
+    """Refuse unless `table`, a derived dict, holds `pairs` as the constructors
+    store them: in order, by increasing positive int key, each row a tuple
+    of `width` entries, ints >= `least` unless it is None. A loop beats one
+    C pass per property on tables this small."""
+    if type(table) is not dict or tuple(table.items()) != pairs:
+        raise ValueError("a table is not stored as its constructor stores it")
+    last = 0
+    for v, row in pairs:
+        if (type(v) is not int or v <= last or not isinstance(row, tuple) or len(row) != width
+                or least is not None and (set(map(type, row)) != {int} or min(row) < least)):
+            raise ValueError("a table is not stored as its constructor stores it")
+        last = v
+
+
 def check_max_count(max_count) -> None:
     """Refuse a cap that is neither None nor an int."""
     if max_count is not None:

@@ -6,8 +6,8 @@ summing to n. Its cycle graph lists the nodes (label, q) for q = 1..k-1
 around the cycle; a segment walks that graph forward. A label is a root
 vertex when every segment starting at its first node keeps its total
 multiplicity (weight) at or above its number of distinct labels (scope);
-`root_vertices` finds them all in one pass by the cycle lemma, and the
-segment functions stay as the definition it is tested against.
+`root_vertices` finds them all in one pass by the cycle lemma; the tests
+walk the segments themselves as the definition it is checked against.
 
 Ornaments encode into multisets by counting right steps per height
 above each label; cycle-rooted trees encode by depth-first exploration
@@ -28,12 +28,41 @@ from dataclasses import dataclass, field
 
 from . import catalan
 from ._trusted import trusted
-from .errors import DEFAULT_MAX_ENUMERATION, check_cap, check_ints, check_pairs
+from .errors import DEFAULT_MAX_ENUMERATION, check_cap, check_ints, check_pairs, check_stored
 from .paths import GoodPath, Ornament
 from .trees import CycleRootedTree, _check_cycle, _rotated, canonical_cycle
 
-Node = tuple[int, int]
-Segment = tuple[Node, ...]
+
+def _check_multiset(k, cycle, f, f_map=None):
+    """The checks of a cyclic multiset, in order; returns the cycle as a
+    tuple and the multiplicity map. `f_map` is the dict stored with `f`;
+    None reads it from `f`, a dict or (label, vector) pairs, in one loop."""
+    check_ints("multisets need an integer k >= 2", (k, 2))
+    cycle = _check_cycle(cycle)
+    if f_map is not None:
+        check_stored(f_map, f, k - 1, 0)
+    else:
+        f_map = {}
+        for v, vec in check_pairs(f, "f must be a dict or (label, vector) pairs"):
+            if type(v) is not int:
+                raise ValueError(f"f is keyed by the integer cycle labels, not {v!r}")
+            try:
+                vec = tuple(vec)
+            except TypeError:  # no vector at all: refused for its length
+                vec = ()
+            if len(vec) != k - 1:
+                raise ValueError(f"multiplicity vector of {v} must have length k-1 = {k - 1}")
+            if set(map(type, vec)) != {int} or min(vec) < 0:
+                raise ValueError("multiplicities must be nonnegative integers")
+            if v in f_map:
+                raise ValueError(f"f names vertex {v} twice")
+            f_map[v] = vec
+    if f_map.keys() != set(cycle):
+        raise ValueError("multiplicities must cover exactly the cycle labels")
+    total = sum(map(sum, f_map.values()))
+    if total != len(cycle):
+        raise ValueError(f"multiplicities sum to {total}, must equal the label count {len(cycle)}")
+    return cycle, f_map
 
 
 @dataclass(frozen=True)
@@ -46,64 +75,15 @@ class CyclicMultiset:
     f_map: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        check_ints("multisets need an integer k >= 2", (self.k, 2))
-        object.__setattr__(self, "cycle", _check_cycle(self.cycle))
-        f_map = {}
-        total = 0
-        for v, vec in check_pairs(self.f, "f must be a dict or (label, vector) pairs"):
-            if type(v) is not int:
-                raise ValueError(f"f is keyed by the integer cycle labels, not {v!r}")
-            try:
-                vec = tuple(vec)
-            except TypeError:  # no vector at all: refused for its length
-                vec = ()
-            if len(vec) != self.k - 1:
-                raise ValueError(
-                    f"multiplicity vector of {v} must have length k-1 = {self.k - 1}"
-                )
-            check_ints("multiplicities must be nonnegative integers", *((x, 0) for x in vec))
-            if v in f_map:
-                raise ValueError(f"f names vertex {v} twice")
-            f_map[v] = vec
-            total += sum(vec)
-        if f_map.keys() != set(self.cycle):
-            raise ValueError("multiplicities must cover exactly the cycle labels")
-        if total != self.n:
-            raise ValueError(
-                f"multiplicities sum to {total}, must equal the label count {self.n}"
-            )
+        cycle, f_map = _check_multiset(self.k, self.cycle, self.f)
         f_map = dict(sorted(f_map.items()))
+        object.__setattr__(self, "cycle", cycle)
         object.__setattr__(self, "f_map", f_map)
         object.__setattr__(self, "f", tuple(f_map.items()))
 
     @property
     def n(self) -> int:
         return len(self.cycle)
-
-
-def _node_walk(m: CyclicMultiset, start: int):
-    """The n*(k-1) nodes of the cycle graph in forward order from (start, 1)."""
-    for v in _rotated(m.cycle, start):
-        for q in range(1, m.k):
-            yield (v, q)
-
-
-def segments_from(m: CyclicMultiset, label: int) -> list[Segment]:
-    """All forward segments starting at (label, 1), one per end node."""
-    if type(label) is not int or label not in m.f_map:
-        raise ValueError(f"label {label} is not on the cycle")
-    nodes = list(_node_walk(m, label))
-    return [tuple(nodes[:t]) for t in range(1, len(nodes) + 1)]
-
-
-def scope(segment: Segment) -> int:
-    """Number of distinct labels a segment passes through."""
-    return len({v for v, _ in segment})
-
-
-def weight(m: CyclicMultiset, segment: Segment) -> int:
-    """Total multiplicity along a segment."""
-    return sum(m.f_map[v][q - 1] for v, q in segment)
 
 
 def root_vertices(m: CyclicMultiset) -> set[int]:

@@ -43,6 +43,39 @@ def is_good(k: int, steps: str) -> bool:
     return height == 0  # a nonempty word that never dips starts with R
 
 
+def _check_path(k, steps, labels) -> tuple[int, ...]:
+    """The checks of a labeled good path, in order; returns the labels as a
+    tuple (a stored tuple as itself)."""
+    try:
+        labels = tuple(labels)
+    except TypeError:
+        raise ValueError("labels must be distinct positive integers") from None
+    check_ints("paths need an integer k >= 2", (k, 2))
+    n = len(labels)
+    if n < 1:
+        raise ValueError("a path carries at least one label")
+    if set(map(type, labels)) != {int} or len(set(labels)) != n or min(labels) < 1:
+        raise ValueError("labels must be distinct positive integers")
+    # a good word with r right steps has length k*r
+    if not is_good(k, steps) or len(steps) != k * n:
+        raise ValueError("steps must form a good word with one right step per label")
+    return labels
+
+
+def _check_field(parts) -> None:
+    """The checks of a minimal field over the set of its GoodPath parts."""
+    if not parts:
+        raise ValueError("a field holds at least one part")
+    if len({p.k for p in parts}) != 1:
+        raise ValueError("all parts of a field must share the same k")
+    # one invariant at a time over every part, so that the verdict is
+    # the same in any set order
+    if not all(map(is_label_minimal, parts)):
+        raise ValueError("every part of a field must be label-minimal")
+    if sum(p.n for p in parts) != len(set().union(*(p.labels for p in parts))):
+        raise ValueError("label sets of field parts must be disjoint")
+
+
 @dataclass(frozen=True)
 class GoodPath:
     k: int
@@ -50,22 +83,7 @@ class GoodPath:
     labels: tuple[int, ...]
 
     def __post_init__(self):
-        try:
-            labels = tuple(self.labels)
-        except TypeError:
-            raise ValueError("labels must be distinct positive integers") from None
-        object.__setattr__(self, "labels", labels)
-        check_ints("paths need an integer k >= 2", (self.k, 2))
-        n = len(labels)
-        if n < 1:
-            raise ValueError("a path carries at least one label")
-        if set(map(type, labels)) != {int} or len(set(labels)) != n or min(labels) < 1:
-            raise ValueError("labels must be distinct positive integers")
-        # a good word with r right steps has length k*r
-        if not is_good(self.k, self.steps) or len(self.steps) != self.k * n:
-            raise ValueError(
-                "steps must form a good word with one right step per label"
-            )
+        object.__setattr__(self, "labels", _check_path(self.k, self.steps, self.labels))
 
     @property
     def n(self) -> int:
@@ -82,16 +100,7 @@ class MinimalField:
         parts = check_parts(self.parts, GoodPath,
                             "the parts of a field must be a collection of GoodPath")
         object.__setattr__(self, "parts", parts)
-        if not parts:
-            raise ValueError("a field holds at least one part")
-        if len({p.k for p in parts}) != 1:
-            raise ValueError("all parts of a field must share the same k")
-        # one invariant at a time over every part, so that the verdict is
-        # the same in any set order
-        if not all(map(is_label_minimal, parts)):
-            raise ValueError("every part of a field must be label-minimal")
-        if sum(p.n for p in parts) != len(set().union(*(p.labels for p in parts))):
-            raise ValueError("label sets of field parts must be disjoint")
+        _check_field(parts)
 
     @property
     def k(self) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from . import catalan
 from ._trusted import trusted
 from .errors import (DEFAULT_MAX_ENUMERATION, check_cap, check_ints, check_labels,
-                     check_pairs, check_parts)
+                     check_pairs, check_parts, check_stored)
 
 Slots = tuple[tuple[int, tuple[int | None, ...]], ...]
 Table = dict[int, tuple[int | None, ...]]
@@ -36,7 +36,7 @@ def canonical_cycle(seq) -> tuple[int, ...]:
 
 def _check_cycle(cycle) -> tuple[int, ...]:
     """A root cycle as stored: nonempty, distinct positive integer labels,
-    minimal label first."""
+    minimal label first. Returns it as a tuple (a stored tuple as itself)."""
     try:
         cycle = tuple(cycle)
         repeats = len(set(cycle)) != len(cycle)
@@ -44,7 +44,8 @@ def _check_cycle(cycle) -> tuple[int, ...]:
         repeats = type(cycle) is not tuple
     if not cycle or repeats:
         raise ValueError("the cycle must be a nonempty list of distinct labels")
-    check_ints("cycle labels must be positive integers", *((v, 1) for v in cycle))
+    if set(map(type, cycle)) != {int} or min(cycle) < 1:
+        raise ValueError("cycle labels must be positive integers")
     if cycle[0] != min(cycle):
         raise ValueError("the cycle must be stored starting at its minimal label")
     return cycle
@@ -74,23 +75,26 @@ def _relink(k: int, slots, links) -> Table:
     return table
 
 
-def _slot_table(k: int, roots: tuple[int, ...], slots) -> Table:
-    """Read `slots` (a dict or (vertex, row) pairs) in one loop, then walk
-    from `roots` meeting each occupant once: a k-ary forest with exactly
-    these roots passes, and comes back sorted by vertex."""
-    table = {}
-    for v, row in check_pairs(slots, "slots must be a dict or (vertex, row) pairs"):
-        try:
-            row = tuple(row)
-        except TypeError:  # no row at all: refused for its length
-            row = ()
-        if len(row) != k:
-            raise ValueError(f"slot array of vertex {v} must have length {k}")
-        if type(v) is not int or v < 1:
-            raise ValueError("vertices must be positive integers")
-        if v in table:
-            raise ValueError(f"slots names vertex {v} twice")
-        table[v] = row
+def _slot_table(k: int, roots: tuple[int, ...], slots, table: Table | None) -> Table:
+    """Walk from `roots` meeting each occupant once: a k-ary forest with
+    exactly these roots passes. `table` is the dict stored with `slots`;
+    None reads it from `slots`, a dict or (vertex, row) pairs, in one loop."""
+    if table is not None:
+        check_stored(table, slots, k)
+    else:
+        table = {}
+        for v, row in check_pairs(slots, "slots must be a dict or (vertex, row) pairs"):
+            try:
+                row = tuple(row)
+            except TypeError:  # no row at all: refused for its length
+                row = ()
+            if len(row) != k:
+                raise ValueError(f"slot array of vertex {v} must have length {k}")
+            if type(v) is not int or v < 1:
+                raise ValueError("vertices must be positive integers")
+            if v in table:
+                raise ValueError(f"slots names vertex {v} twice")
+            table[v] = row
     for r in roots:
         if r not in table:
             raise ValueError(f"root {r} is missing from the slot table")
@@ -111,7 +115,40 @@ def _slot_table(k: int, roots: tuple[int, ...], slots) -> Table:
             stack.append(c)
     if len(seen) != len(table):
         raise ValueError(f"vertex {min(table.keys() - seen)} hangs below no root")
-    return dict(sorted(table.items()))
+    return table
+
+
+def _check_tree(k, root, slots, table: Table | None = None) -> Table:
+    """The checks of a plane tree, in order; `table` as in _slot_table."""
+    check_ints("trees need an integer k >= 2", (k, 2))
+    if type(root) is not int:
+        raise ValueError("the root must be a positive integer")
+    return _slot_table(k, (root,), slots, table)
+
+
+def _check_forest(parts) -> None:
+    """The checks of a root-minimal forest over the set of its PlaneTree parts."""
+    if not parts:
+        raise ValueError("a forest holds at least one tree")
+    if len({t.k for t in parts}) != 1:
+        raise ValueError("all trees of a forest must share the same k")
+    # one invariant at a time over every part, so that the verdict is
+    # the same in any set order
+    if not all(map(is_root_minimal, parts)):
+        raise ValueError("every tree of the forest must be root-minimal")
+    if sum(t.n for t in parts) != len(set().union(*(t.slot_map for t in parts))):
+        raise ValueError("vertex sets of forest trees must be disjoint")
+
+
+def _check_cycle_tree(k, cycle, slots, table: Table | None = None):
+    """The checks of a cycle-rooted tree, in order; `table` as in _slot_table."""
+    check_ints("trees need an integer k >= 2", (k, 2))
+    cycle = _check_cycle(cycle)
+    table = _slot_table(k, cycle, slots, table)
+    for r in cycle:
+        if table[r][k - 1] is not None:
+            raise ValueError("the rightmost slot of a cycle vertex must stay vacant")
+    return cycle, table
 
 
 @dataclass(frozen=True)
@@ -121,7 +158,8 @@ class _SlotTable:
 
     slot_map: Table = field(init=False, repr=False, compare=False)
 
-    def _keep(self, slot_map: Table) -> None:
+    def _keep(self, table: Table) -> None:
+        slot_map = dict(sorted(table.items()))
         object.__setattr__(self, "slot_map", slot_map)
         object.__setattr__(self, "slots", tuple(slot_map.items()))
 
@@ -137,10 +175,7 @@ class PlaneTree(_SlotTable):
     slots: Slots
 
     def __post_init__(self):
-        check_ints("trees need an integer k >= 2", (self.k, 2))
-        if type(self.root) is not int:
-            raise ValueError("the root must be a positive integer")
-        self._keep(_slot_table(self.k, (self.root,), self.slots))
+        self._keep(_check_tree(self.k, self.root, self.slots))
 
 
 @dataclass(frozen=True)
@@ -151,16 +186,7 @@ class RootMinimalForest:
         parts = check_parts(self.parts, PlaneTree,
                             "the parts of a forest must be a collection of PlaneTree")
         object.__setattr__(self, "parts", parts)
-        if not parts:
-            raise ValueError("a forest holds at least one tree")
-        if len({t.k for t in parts}) != 1:
-            raise ValueError("all trees of a forest must share the same k")
-        # one invariant at a time over every part, so that the verdict is
-        # the same in any set order
-        if not all(map(is_root_minimal, parts)):
-            raise ValueError("every tree of the forest must be root-minimal")
-        if sum(t.n for t in parts) != len(set().union(*(t.slot_map for t in parts))):
-            raise ValueError("vertex sets of forest trees must be disjoint")
+        _check_forest(parts)
 
     @property
     def k(self) -> int:
@@ -181,12 +207,9 @@ class CycleRootedTree(_SlotTable):
     slots: Slots
 
     def __post_init__(self):
-        check_ints("trees need an integer k >= 2", (self.k, 2))
-        object.__setattr__(self, "cycle", _check_cycle(self.cycle))
-        self._keep(_slot_table(self.k, self.cycle, self.slots))
-        for r in self.cycle:
-            if self.slot_map[r][self.k - 1] is not None:
-                raise ValueError("the rightmost slot of a cycle vertex must stay vacant")
+        cycle, table = _check_cycle_tree(self.k, self.cycle, self.slots)
+        object.__setattr__(self, "cycle", cycle)
+        self._keep(table)
 
 
 def rightmost_branch(t: PlaneTree) -> list[int]:

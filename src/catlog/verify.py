@@ -148,33 +148,41 @@ def _check_all(name, k, n, bad) -> CheckResult:
     return _check(name, k, n, False, serialize.dumps(bad))
 
 
-def _rebuilt(x):
-    """x built again by the public constructors from its stored fields."""
-    return _REBUILD[type(x)](x)
+def _parts_ok(parts, cls, check) -> bool:
+    """The parts of a field or forest are stored as a set of valid `cls`
+    that pass `check`, the constructor's checks over them."""
+    if not (isinstance(parts, (set, frozenset))
+            and all(isinstance(p, cls) and _valid(p) for p in parts)):
+        return False
+    check(parts)
+    return True
 
 
-# the public constructor of each structure verify checks, or whose parts
-# it checks, fed a structure's stored fields; parts are rebuilt first
-_REBUILD = {
-    paths.GoodPath: lambda p: paths.GoodPath(p.k, p.steps, p.labels),
-    paths.MinimalField: lambda f: paths.MinimalField(frozenset(map(_rebuilt, f.parts))),
-    trees.PlaneTree: lambda t: trees.PlaneTree(t.k, t.root, t.slots),
-    trees.RootMinimalForest: lambda f: trees.RootMinimalForest(frozenset(map(_rebuilt, f.parts))),
-    trees.CycleRootedTree: lambda c: trees.CycleRootedTree(c.k, c.cycle, c.slots),
-    multisets.CyclicMultiset: lambda m: multisets.CyclicMultiset(m.k, m.cycle, m.f),
+# each structure verify checks, or whose parts it checks: its constructor's
+# checks run on its stored fields, which must come back as they are
+_IN_PLACE = {
+    paths.GoodPath: lambda p: paths._check_path(p.k, p.steps, p.labels) == p.labels,
+    paths.MinimalField: lambda f: _parts_ok(f.parts, paths.GoodPath, paths._check_field),
+    trees.PlaneTree: lambda t: trees._check_tree(t.k, t.root, t.slots, t.slot_map) is t.slot_map,
+    trees.RootMinimalForest: lambda f: _parts_ok(f.parts, trees.PlaneTree, trees._check_forest),
+    trees.CycleRootedTree:
+        lambda c: trees._check_cycle_tree(c.k, c.cycle, c.slots, c.slot_map)[0] == c.cycle,
+    multisets.CyclicMultiset:
+        lambda m: multisets._check_multiset(m.k, m.cycle, m.f, m.f_map)[0] == m.cycle,
 }
 
 
 def _valid(x) -> bool:
-    """x equals its rebuild by the public constructors: every invariant
-    holds and every field is stored normalized.
+    """x is stored as its public constructor would store it: the
+    constructor's checks run in place on x's stored fields and parts, and
+    a derived dict (`slot_map`, `f_map`) must hold the pairs it mirrors.
 
     The enumerators and bijections build through the trusted constructor.
     An image is checked this way in the first check that reads it, unless
     a roundtrip equality or a range check compares it with structures
     the enumerators built."""
     try:
-        return _rebuilt(x) == x
+        return type(x) in _IN_PLACE and _IN_PLACE[type(x)](x)
     except ValueError:
         return False
 

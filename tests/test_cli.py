@@ -709,6 +709,62 @@ def test_python_m_catlog():
     assert "10/3" in result.stdout
 
 
+class TestBrokenPipe:
+    """A reader that closes stdout early, as `| head -1` does, ends the
+    output quietly: no message, and the command's own exit code."""
+
+    def closed_early(self, args, lines: int, unbuffered: str = ""):
+        """Run a fresh interpreter on `args`, stdout block-buffered unless
+        `unbuffered` is set, read `lines` lines of its stdout, close it, and
+        return the exit code and stderr."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        proc = subprocess.Popen([sys.executable, *args], env=env, text=True,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        for _ in range(lines):
+            assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        return proc.wait(timeout=60), err
+
+    def test_enumerate_stops_with_exit_0(self):
+        # 95,040 lines: far more than a pipe holds, so the writer meets the closed end
+        code, err = self.closed_early(
+            ["-m", "catlog", "enumerate", "--structure", "paths", "--k", "2", "--n", "6"], 1)
+        assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_output_short_of_the_pipe_buffer(self, unbuffered):
+        # buffered, the whole table waits in stdout's buffer and the pipe
+        # breaks on the last flush; unbuffered, on the first write
+        code, err = self.closed_early(["-m", "catlog", "coeff", "--max-n", "2"], 0, unbuffered)
+        assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("skew, want", [(0, 0), (1, 1)], ids=["passed", "failed"])
+    def test_verify_keeps_its_verdict(self, skew, want):
+        script = textwrap.dedent(f"""
+            import sys
+            from catlog import catalan
+            from catlog.cli import main
+            real = catalan.coeff_log
+            catalan.coeff_log = lambda k, n: real(k, n) + {skew} * ((k, n) == (2, 3))
+            sys.exit(main(["verify", "--suite", "series", "--k", "2,3", "--max-n", "30"]))
+        """)
+        code, err = self.closed_early(["-c", script], 0)
+        assert (code, err) == (want, "")
+
+    def test_a_bad_output_path_still_exits_2(self, capsys, tmp_path):
+        dst = tmp_path / "missing" / "out.jsonl"
+        code, out, err = run(capsys, "enumerate", "--structure", "paths", "--k", "2",
+                             "--n", "2", "--output", str(dst))
+        assert (code, out) == (2, "") and err.startswith("error: ")
+
+
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
 

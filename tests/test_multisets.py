@@ -18,9 +18,6 @@ from catlog.multisets import (
     ornament_to_cycle_tree,
     ornament_to_multiset,
     root_vertices,
-    scope,
-    segments_from,
-    weight,
 )
 from catlog.paths import (
     GoodPath,
@@ -49,6 +46,36 @@ def ms(k, cycle, f):
 
 def rooted_multisets(k, n):
     return [m for m in enumerate_multisets(k, n) if root_vertices(m)]
+
+
+# the segment definition of a root vertex, which root_vertices is checked
+# against: a segment walks the cycle graph's nodes (label, q), q = 1..k-1,
+# forward around the cycle
+
+
+def _node_walk(m, start):
+    """The n*(k-1) nodes of the cycle graph in forward order from (start, 1)."""
+    for v in _rotated(m.cycle, start):
+        for q in range(1, m.k):
+            yield (v, q)
+
+
+def segments_from(m, label):
+    """All forward segments starting at (label, 1), one per end node."""
+    if type(label) is not int or label not in m.f_map:
+        raise ValueError(f"label {label} is not on the cycle")
+    nodes = list(_node_walk(m, label))
+    return [tuple(nodes[:t]) for t in range(1, len(nodes) + 1)]
+
+
+def scope(segment):
+    """Number of distinct labels a segment passes through."""
+    return len({v for v, _ in segment})
+
+
+def weight(m, segment):
+    """Total multiplicity along a segment."""
+    return sum(m.f_map[v][q - 1] for v, q in segment)
 
 
 def roots_by_definition(m):
@@ -140,6 +167,10 @@ class TestSegments:
     def test_unknown_label(self):
         with pytest.raises(ValueError):
             segments_from(ms(2, (1,), {1: (1,)}), 3)
+
+    def test_a_label_that_is_not_an_int(self):
+        with pytest.raises(ValueError, match="^label True is not on the cycle$"):
+            segments_from(ms(2, (1, 2), {1: (1,), 2: (1,)}), True)
 
 
 class TestScopeAndWeight:

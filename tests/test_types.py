@@ -13,8 +13,6 @@ from catlog.paths import GoodPath, MinimalField, Ornament, is_good
 from catlog.series import Series
 from catlog.trees import CycleRootedTree, PlaneTree, RootMinimalForest
 
-M = CyclicMultiset(2, (1, 2), {1: (1,), 2: (1,)})
-
 # each public numeric function called with one wrong-type argument, and
 # the message it refuses it with: where it had one, the message it gave
 # for an out-of-range value of that argument
@@ -47,7 +45,6 @@ NUMERIC = [
     (series.catalan_series, (2, 3.0), "order must be >= 0"),
     (multisets.multiset_unrank, (2.0, 2, 1), "multiset_unrank needs k >= 2 and n >= 1"),
     (multisets.multiset_unrank, (2, 2, 1.0), "rank 1.0 is outside [0, 3)"),
-    (multisets.segments_from, (M, True), "label True is not on the cycle"),
     (multisets.enumerate_multisets, (2, 2, "5"), "max_count must be None or an integer"),
     (verify.run_suite, ("series", [2], 3.0), "max_n must be >= 1"),
     (verify.run_suite, ("series", [2.0], 3), "k values must be >= 1"),

@@ -34,6 +34,21 @@ def test_all_is_the_suites_in_order(ks, max_n):
     assert combined == alone
 
 
+# sha256 of json.dumps(run_suite("all", [k], n).to_json()) at the grid points
+# the benchmark's grid job runs, recorded before verify stopped rebuilding images
+PINNED_GRID = {
+    (2, 5): "33c664f82dc9f03e7c70dec62ea1f89457a936ad70916be4b39635b679676451",
+    (3, 4): "de1bad22ae55d85670d5c1a9aa3db39b334167147ae0b81c9c71dacd57b81cb1",
+    (4, 3): "73faf629220ec76cc6732b997a6b42f5e886316c2153887f9ae6827906cbb19b",
+}
+
+
+@pytest.mark.parametrize("k, n", PINNED_GRID, ids=[f"k{k}-n{n}" for k, n in PINNED_GRID])
+def test_pinned_grid_reports(k, n):
+    report = json.dumps(run_suite("all", [k], n).to_json())
+    assert hashlib.sha256(report.encode("utf-8")).hexdigest() == PINNED_GRID[k, n]
+
+
 def test_unknown_suite():
     with pytest.raises(ValueError, match="^unknown suite 'nope'$"):
         run_suite("nope", [2], 3)
@@ -104,6 +119,26 @@ def test_counts_builds_no_images(monkeypatch):
     calls = _calls(monkeypatch, BIJECTIONS)
     run_suite("counts", [2], 4)
     assert not calls
+
+
+STRUCTURES = (paths.GoodPath, paths.MinimalField, paths.Ornament, trees.PlaneTree,
+              trees.RootMinimalForest, trees.CycleRootedTree, multisets.CyclicMultiset)
+
+
+def test_all_runs_no_constructor(monkeypatch):
+    """Every image is checked in place: no structure is built, or rebuilt,
+    through its public constructor."""
+    verify._grid_structures.cache_clear()
+    built = Counter()
+    for cls in STRUCTURES:
+        def counted(self, _real=cls.__post_init__, _name=cls.__name__):
+            built[_name] += 1
+            _real(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    assert paths.GoodPath(2, "RU", (1,)) and built == {"GoodPath": 1}  # the counter counts
+    built.clear()
+    assert run_suite("all", [2], 4).overall
+    assert not built
 
 
 def test_statistics_builds_no_bijections_only_images(monkeypatch):
