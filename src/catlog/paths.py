@@ -243,7 +243,9 @@ def decompose(p: GoodPath) -> MinimalField:
 
 def recompose(field: MinimalField) -> GoodPath:
     """Inverse of decompose: concatenate the parts in decreasing order of
-    their origin labels."""
+    their origin labels. A one-part field recomposes to its part itself."""
+    if len(field.parts) == 1:
+        return next(iter(field.parts))
     parts = sorted(field.parts, key=lambda q: q.labels[0], reverse=True)
     steps = "".join(q.steps for q in parts)
     labels = tuple(v for q in parts for v in q.labels)

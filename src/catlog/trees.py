@@ -293,7 +293,8 @@ def enumerate_trees(
 
 def tree_to_forest(t: PlaneTree) -> RootMinimalForest:
     """Cut the rightmost branch wherever the next vertex undercuts the root
-    of the piece being built; every piece comes out root-minimal."""
+    of the piece being built; every piece comes out root-minimal. A
+    root-minimal tree is cut nowhere: its forest holds t itself."""
     roots = [t.root]
     cuts = {}
     branch = rightmost_branch(t)
@@ -301,6 +302,8 @@ def tree_to_forest(t: PlaneTree) -> RootMinimalForest:
         if nxt < roots[-1]:
             cuts[cur] = None
             roots.append(nxt)
+    if len(roots) == 1:
+        return trusted(RootMinimalForest, parts=frozenset({t}))
     table = _relink(t.k, t.slot_map, cuts)
     parts = []
     for r in roots:
@@ -318,7 +321,10 @@ def tree_to_forest(t: PlaneTree) -> RootMinimalForest:
 
 def forest_to_tree(f: RootMinimalForest) -> PlaneTree:
     """Inverse of tree_to_forest: glue the trees in decreasing root order,
-    each root into the vacant rightmost slot ending the previous branch."""
+    each root into the vacant rightmost slot ending the previous branch.
+    A one-part forest glues into its part itself."""
+    if len(f.parts) == 1:
+        return next(iter(f.parts))
     parts = sorted(f.parts, key=lambda t: t.root, reverse=True)
     rows = sorted(row for t in parts for row in t.slots)
     links = {rightmost_branch(a)[-1]: b.root for a, b in zip(parts, parts[1:])}

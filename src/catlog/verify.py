@@ -165,10 +165,10 @@ _IN_PLACE = {
     paths.MinimalField: lambda f: _parts_ok(f.parts, paths.GoodPath, paths._check_field),
     trees.PlaneTree: lambda t: trees._check_tree(t.k, t.root, t.slots, t.slot_map) is t.slot_map,
     trees.RootMinimalForest: lambda f: _parts_ok(f.parts, trees.PlaneTree, trees._check_forest),
-    trees.CycleRootedTree:
-        lambda c: trees._check_cycle_tree(c.k, c.cycle, c.slots, c.slot_map)[0] == c.cycle,
-    multisets.CyclicMultiset:
-        lambda m: multisets._check_multiset(m.k, m.cycle, m.f, m.f_map)[0] == m.cycle,
+    trees.CycleRootedTree: lambda c: trees._check_cycle_tree(
+        c.k, c.cycle, c.slots, c.slot_map) == (c.cycle, c.slot_map),
+    multisets.CyclicMultiset: lambda m: multisets._check_multiset(
+        m.k, m.cycle, m.f, m.f_map) == (m.cycle, m.f_map),
 }
 
 
@@ -197,15 +197,21 @@ class _Range:
         self.seen = bytearray(len(rooted))
         self.others: list = []  # distinct images equal to no multiset of the point
 
-    def add(self, m) -> None:
+    def add(self, m) -> int | None:
+        """Mark the rank of image m; return it when `f_map` holds the very
+        pairs of `f`, so that a decoder reads what the rank checked."""
         try:
             r = multisets.multiset_rank(m)
         except ValueError:
             r = None
         if r is not None and (m.k, m.n) == (self.k, self.n):
             self.seen[r] = 1
-        elif m not in self.others:  # by equality: an invalid image may not hash
+            held = type(m.f_map) is dict and len(m.f_map) == len(m.f) and all(
+                a is b and u is v for (a, u), (b, v) in zip(m.f_map.items(), m.f))
+            return r if held else None
+        if m not in self.others:  # by equality: an invalid image may not hash
             self.others.append(m)
+        return None
 
     def result(self, name: str) -> CheckResult:
         images = self.seen.count(1) + len(self.others)
@@ -223,8 +229,12 @@ def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResu
     of each part count. Each structure's bijection images are computed as
     it is produced, read by every asked check, and dropped. A pass keeps
     counts, distributions, the first counterexample of each for-all check
-    in walk order, and the range checks' rank maps. A pass or an image
-    that no asked suite reads is skipped."""
+    in walk order, and the range checks' rank maps. The cycle-tree pass
+    also marks each multiset rank whose tree decodes back to itself, valid,
+    with the root vertices as its cycle; at a marked rank the ornament pass
+    takes the composed checks' verdicts from its own roundtrip and root-vertex
+    checks, elsewhere it decodes its image. A pass or an image that no
+    asked suite reads is skipped."""
     counts = "counts" in suites
     bijections = "bijections" in suites
     statistics = "statistics" in suites
@@ -270,6 +280,7 @@ def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResu
     n_cycle_trees = 0
     cycle_dist: Counter = Counter()
     tree_range = _Range(k, n, rooted) if bijections else None
+    decoded = bytearray(n_ms if bijections else 0)
     for c in trees._cycle_rooted(k, n, max_count):
         n_cycle_trees += 1
         if not (bijections or statistics):
@@ -277,16 +288,20 @@ def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResu
         m = multisets.cycle_tree_to_multiset(c)
         # its root vertices, once, for the decoder and the statistics check
         least = multisets._least_root_order(m) if bijections or _valid(m) else None
+        roots_ok = least and least[1] == set(c.cycle)
         if bijections:
             # the reverse roundtrip; a forward counterexample comes first
             if trees.to_cycle_rooted(trees.to_root_minimal(c)) != c:
                 fail("min-cycle-roundtrip", c)
-            if multisets.multiset_to_cycle_tree(m, least) != c:
+            back = multisets.multiset_to_cycle_tree(m, least)
+            if back != c:
                 fail("cycle-tree-multiset-roundtrip", c)
-            tree_range.add(m)
+            r = tree_range.add(m)
+            if r is not None and roots_ok and back == c and _valid(back):
+                decoded[r] = 1
         if statistics:
             cycle_dist[len(c.cycle)] += 1
-            if not (least and least[1] == set(c.cycle)):
+            if not roots_ok:
                 fail("cycle-tree-root-vertices", c)
 
     n_ornaments = 0
@@ -303,15 +318,22 @@ def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResu
         m = multisets.ornament_to_multiset(o)
         least = multisets._least_root_order(m)  # once, for both decoders and the check
         if bijections:
-            if multisets.multiset_to_ornament(m, least) != o:
+            roundtrip = multisets.multiset_to_ornament(m, least) == o
+            if not roundtrip:
                 fail("ornament-multiset-roundtrip", o)
-            ornament_range.add(m)
-        if statistics and not ((bijections or _valid(m)) and least[1] == touch_labels):
+            r = ornament_range.add(m)
+        roots_ok = statistics and (bijections or _valid(m)) and least[1] == touch_labels
+        if statistics and not roots_ok:
             fail("ornament-root-vertices", o)
-        c = multisets.multiset_to_cycle_tree(m, least)
-        if bijections and not (_valid(c) and multisets.cycle_tree_to_ornament(c) == o):
+        # a hit: m decodes to the valid tree decoded from an equal multiset
+        # above, which carries o back as m does and has m's roots as its cycle
+        hit = bijections and r is not None and decoded[r]
+        c = None if hit else multisets.multiset_to_cycle_tree(m, least)
+        if bijections and not (roundtrip if hit else _valid(c)
+                               and multisets.cycle_tree_to_ornament(c) == o):
             fail("composed-correspondence-roundtrip", o)
-        if statistics and not ((bijections or _valid(c)) and set(c.cycle) == touch_labels):
+        if statistics and not (roots_ok if hit else (bijections or _valid(c))
+                               and set(c.cycle) == touch_labels):
             fail("touch-labels-become-roots", o)
         if bijections and not all(paths.to_ornament(q) == o for q in paths.rotations(o.rep)):
             fail("rotation-class-constant", o)

@@ -35,9 +35,13 @@ def feed(monkeypatch, text: str):
 
 def run_python(*args, stdin=None, **extra_env):
     """Run a fresh interpreter that imports catlog from this checkout, with
-    `stdin` as its input and `extra_env` added to its environment."""
+    `stdin` as its input and `extra_env` added to its environment. Its
+    stdout stays block-buffered, as in a plain run, unless `extra_env`
+    sets PYTHONUNBUFFERED, so what the process writes at exit is tested."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, **extra_env)
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    env.update(extra_env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], env=env, input=stdin,
                           capture_output=True, text=True, timeout=60)

@@ -222,7 +222,8 @@ class TestDecompose:
 class TestRecompose:
     def test_singleton(self):
         p = GoodPath(2, "RURU", (1, 2))
-        assert recompose(MinimalField(frozenset({p}))) == p
+        got = recompose(MinimalField(frozenset({p})))
+        assert got is p and got == GoodPath(2, p.steps, p.labels)
 
     def test_hand_example(self):
         field = MinimalField(frozenset({GoodPath(2, "RU", (2,)), GoodPath(2, "RU", (1,))}))

@@ -183,6 +183,18 @@ class TestForestBijection:
         t = tree(2, 1, {1: (None, 2), 2: (None, 3), 3: leaf_row(2)})
         assert tree_to_forest(t).parts == frozenset({t})
 
+    @pytest.mark.parametrize("k, n", [(2, 5), (3, 4)])
+    def test_a_root_minimal_tree_is_its_own_forest(self, k, n):
+        for t in enumerate_trees(k, range(1, n + 1)):
+            if is_root_minimal(t):
+                parts = tree_to_forest(t).parts
+                assert parts == frozenset({t}) and next(iter(parts)) is t
+
+    def test_a_one_part_forest_glues_into_its_part(self):
+        part = tree(2, 1, {1: (None, 2), 2: leaf_row(2)})
+        glued = forest_to_tree(RootMinimalForest(frozenset({part})))
+        assert glued is part and glued == PlaneTree(2, 1, part.slots)
+
     def test_hand_glue(self):
         forest = RootMinimalForest(frozenset({
             tree(2, 2, {2: leaf_row(2)}),

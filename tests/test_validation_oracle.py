@@ -402,10 +402,15 @@ def test_in_place_check_agrees_on_near_misses(which):
     (T, {"slot_map": {1: (None, None), 2: (None, None)}}),
     (C, {"slot_map": dict(reversed(C.slot_map.items()))}),
     (M, {"f_map": {1: (1,), 2: (1,)}}),
-], ids=["tree", "cycle-tree-unsorted", "multiset"])
+    (T, {"slot_map": None}),
+    (C, {"slot_map": None}),
+    (M, {"f_map": None}),
+], ids=["tree", "cycle-tree-unsorted", "multiset", "tree-none", "cycle-tree-none",
+        "multiset-none"])
 def test_a_derived_dict_must_hold_its_pairs(x, derived):
     """Every map reads the derived dict, which the rebuild never compared:
-    an image whose dict disagrees with its pairs is refused in place."""
+    an image whose dict disagrees with its pairs, or that has none, is
+    refused in place."""
     image = with_fields(x, **derived)
     assert rebuild_verdict(image)
     assert not verify._valid(image)

@@ -11,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from catlog import multisets, paths, serialize, trees, verify
+from catlog import catalan, multisets, paths, serialize, trees, verify
 from catlog._trusted import trusted
 from catlog.cli import main
 from catlog.errors import DEFAULT_MAX_ENUMERATION
@@ -119,6 +119,23 @@ def test_counts_builds_no_images(monkeypatch):
     calls = _calls(monkeypatch, BIJECTIONS)
     run_suite("counts", [2], 4)
     assert not calls
+
+
+@pytest.mark.parametrize("suite", ["all", *STRUCTURE_SUITES])
+def test_each_cycle_tree_is_decoded_once(monkeypatch, suite):
+    """The ornament pass reads the cycle-tree pass's verdict on the tree
+    decoded from an equal multiset, so no tree is encoded, nor any
+    multiset decoded to a tree, twice; cycle_tree_to_ornament, which does
+    both, is never called."""
+    calls = Counter()
+    for attr in ("multiset_to_cycle_tree", "cycle_tree_to_multiset", "cycle_tree_to_ornament"):
+        def counted(*args, _real=getattr(multisets, attr), _attr=attr):
+            calls[_attr] += 1
+            return _real(*args)
+        monkeypatch.setattr(multisets, attr, counted)
+    assert run_suite(suite, [2], 4).overall
+    n_trees = sum(catalan.count_ornaments(2, n) for n in range(1, 5))
+    assert calls == {"multiset_to_cycle_tree": n_trees, "cycle_tree_to_multiset": n_trees}
 
 
 STRUCTURES = (paths.GoodPath, paths.MinimalField, paths.Ornament, trees.PlaneTree,
@@ -488,3 +505,196 @@ def test_rank_rejects_an_invalid_encoding(which):
     _, image, _ = INVALID_IMAGES[which][2]()
     with pytest.raises(ValueError):
         multisets.multiset_rank(image)
+
+
+# -- faults behind the ornament pass's reading of the cycle-tree pass ------------
+# The ornament pass takes the composed checks' verdicts from the cycle-tree
+# pass where that pass decoded an equal multiset back to a valid tree whose
+# cycle is the root vertices. Each fault below breaks one of those
+# conditions without breaking the others, and must still fail the checks
+# it fails when every ornament's image is decoded.
+
+
+def _stale_slot_map(monkeypatch):
+    """multiset_to_cycle_tree sends a rooted multiset to its tree with every
+    row of `slot_map` vacant. The image equals the right tree, since trees
+    compare their stored pairs, so the reverse roundtrip passes: only the
+    validity check of the decoded tree sees it."""
+    m = _rooted_multisets()[0]
+    c = multisets.multiset_to_cycle_tree(m)
+    stale = dict.fromkeys(c.slot_map, (None,) * K)
+    image = trusted(trees.CycleRootedTree, k=K, cycle=c.cycle, slots=c.slots, slot_map=stale)
+    assert image == c and stale != c.slot_map
+    _send(monkeypatch, multisets, "multiset_to_cycle_tree", m, image)
+
+
+def _extra_root(monkeypatch):
+    """root_vertices names, for one rooted multiset, a label above its least
+    root that is no root. Both decoders start at the least root and still
+    decode the multiset right; only the root-vertex checks see it."""
+    m = next(m for m in multisets.enumerate_multisets(K, N)
+             if multisets.root_vertices(m) and max(m.cycle) not in multisets.root_vertices(m))
+    _send(monkeypatch, multisets, "root_vertices", m, multisets.root_vertices(m) | {max(m.cycle)})
+
+
+def _f_of_another_multiset(monkeypatch):
+    """ornament_to_multiset stores, for one ornament, its own `f_map` with
+    the pairs `f` of another rooted multiset on the same cycle, and the tree
+    decoder answers by multiset equality, as a cache would: it reads `f`,
+    where the ornament decoder reads `f_map`."""
+    o = paths.enumerate_ornaments(K, N)[0]
+    m = multisets.ornament_to_multiset(o)
+    other = next(x for x in multisets.enumerate_multisets(K, N)
+                 if x.cycle == m.cycle and x != m and multisets.root_vertices(x))
+    image = trusted(multisets.CyclicMultiset, k=K, cycle=m.cycle, f=other.f, f_map=m.f_map)
+    _send(monkeypatch, multisets, "ornament_to_multiset", o, image)
+    _send(monkeypatch, multisets, "multiset_to_cycle_tree", other,
+          multisets.multiset_to_cycle_tree(other))
+
+
+# each such fault, and the checks that must fail in each suite with it in place
+HIDDEN_BY_A_HIT = {
+    "stale-slot-map": (_stale_slot_map, {
+        "all": {"composed-correspondence-roundtrip"},
+        "bijections": {"composed-correspondence-roundtrip"},
+        "statistics": {"touch-labels-become-roots"}}),
+    "extra-root": (_extra_root, {
+        "all": {"ornament-root-vertices", "cycle-tree-root-vertices"},
+        "bijections": set(),
+        "statistics": {"ornament-root-vertices", "cycle-tree-root-vertices"}}),
+    "f-of-another-multiset": (_f_of_another_multiset, {
+        "all": {"ornament-encoding-range", "composed-correspondence-roundtrip",
+                "touch-labels-become-roots"},
+        "bijections": {"ornament-encoding-range", "composed-correspondence-roundtrip"},
+        "statistics": {"ornament-root-vertices", "touch-labels-become-roots"}}),
+}
+
+
+@pytest.mark.parametrize("which", HIDDEN_BY_A_HIT)
+def test_a_fault_behind_a_hit_still_fails(monkeypatch, capsys, which):
+    inject, failing = HIDDEN_BY_A_HIT[which]
+    inject(monkeypatch)
+    failed = {}
+    for suite, names in failing.items():
+        got = _failing(suite)
+        assert set(got) == {(name, K, N) for name in names}, suite
+        failed.update(got)
+    assert _replayed(monkeypatch, capsys, failed) > 0
+
+
+def _inject(monkeypatch, fault, which):
+    """Put one fault of CORRUPTIONS, INVALID_IMAGES or HIDDEN_BY_A_HIT in place."""
+    if fault == "corrupt":
+        corrupt(monkeypatch, which)
+    elif fault == "hidden":
+        HIDDEN_BY_A_HIT[which][0](monkeypatch)
+    else:
+        module, attr, pick = INVALID_IMAGES[which][:3]
+        x0, image, _ = pick()
+        _send(monkeypatch, module, attr, x0, image)
+
+
+# sha256 of json.dumps(run_suite(suite, [K], N).to_json()) with each fault in
+# place, recorded before the ornament pass read the cycle-tree pass's
+# verdicts: the reports of a faulty program, counterexamples included
+PINNED_FAILING = {
+    ("corrupt", "decompose", "all"):
+        "c1f0c43c27889191f9cd76cca0da8f8bd728bdadd5fc3fb3670ae3d205c784fe",
+    ("corrupt", "decompose", "bijections"):
+        "0865900d4f53365d7d46668a3dbeedad3e3a76f4056663ba400f7d683789e692",
+    ("corrupt", "decompose", "statistics"):
+        "d36f3ae6d706e2e9cac8716b428dec8df59f5f02866e74c68d45d283be85b9cf",
+    ("corrupt", "tree_to_forest", "all"):
+        "e434cd96246e2b6f50d3c099b036620428b282650b071ffa222b08df2a12c248",
+    ("corrupt", "tree_to_forest", "bijections"):
+        "8dae38bab981e5495259e459e2176ff95fefb3cf72b7ee54db86a2b3bbd80101",
+    ("corrupt", "tree_to_forest", "statistics"):
+        "d36f3ae6d706e2e9cac8716b428dec8df59f5f02866e74c68d45d283be85b9cf",
+    ("corrupt", "to_cycle_rooted", "all"):
+        "5ef1c8135da292754fbfe57e1f8499d06e6aba10414bee73dcd3a86427b1fa71",
+    ("corrupt", "to_cycle_rooted", "bijections"):
+        "4f866c585ff084cb09ef39ab10319846923ff0abecc5bf4aa4d7d0dd801e44ef",
+    ("corrupt", "to_cycle_rooted", "statistics"):
+        "d36f3ae6d706e2e9cac8716b428dec8df59f5f02866e74c68d45d283be85b9cf",
+    ("corrupt", "ornament_to_multiset", "all"):
+        "54fa286a5a0712926cbedbcf68ce33ea04d61894a13174861f7313d90d15f162",
+    ("corrupt", "ornament_to_multiset", "bijections"):
+        "8f9e4da6b62258dfb911d19cb1383b102e54fc91e09434a387c35b15098febfa",
+    ("corrupt", "ornament_to_multiset", "statistics"):
+        "b7a7ef2f1b88336a949644ea2798ddd9aca99a404f230f038105ad92a156fe12",
+    ("corrupt", "cycle_tree_to_multiset", "all"):
+        "b8afa47282c01e1da5cbbe46f88d5ce0864cd3abe758b122f56dc87d55b2e26f",
+    ("corrupt", "cycle_tree_to_multiset", "bijections"):
+        "d2b025ee9ba435ea7370ef6439884aae54777d3e4fba0093204fafc096a9f5f1",
+    ("corrupt", "cycle_tree_to_multiset", "statistics"):
+        "99dd8229f0e02bf77561b8e100669b11bff3899c5d87cfc14b1053c97d9ae7ec",
+    ("corrupt", "multiset_to_cycle_tree", "all"):
+        "9902f2df7f911636d3c920ca93d28b8e5a9dbf674a19f5d08b6edae76febeccd",
+    ("corrupt", "multiset_to_cycle_tree", "bijections"):
+        "1d66e9713932895ad9121a5cbf7a609c91325a3bd93f1f33b7ef620c14748714",
+    ("corrupt", "multiset_to_cycle_tree", "statistics"):
+        "f37f65001a355a7351daa61ce5746c31fd46a1ade068a691d3530ad8b208686d",
+    ("invalid", "decompose", "all"):
+        "743b8be0805291f191401b8bfaf3ef79c3f360e12ab57e0e937eb79e59993e05",
+    ("invalid", "decompose", "bijections"):
+        "f4c989d634a13c92bd00d42f6c5809b0548cde75f1739feccb4c028069f523a3",
+    ("invalid", "decompose", "statistics"):
+        "d36f3ae6d706e2e9cac8716b428dec8df59f5f02866e74c68d45d283be85b9cf",
+    ("invalid", "tree_to_forest", "all"):
+        "cc07e2bb6fd37d0592230abe4937b9f7d503076241659b8313884e67e3adeaea",
+    ("invalid", "tree_to_forest", "bijections"):
+        "65f081d33e979370cfbb79f654d48bba017acdc598df9a0b5845d4cd9cb7e461",
+    ("invalid", "tree_to_forest", "statistics"):
+        "d36f3ae6d706e2e9cac8716b428dec8df59f5f02866e74c68d45d283be85b9cf",
+    ("invalid", "to_cycle_rooted", "all"):
+        "f50b85c8f0144543678103356ea28a4d3709707eb4c8ca7564635fc75709358c",
+    ("invalid", "to_cycle_rooted", "bijections"):
+        "e5782a592910afdf4ac15a4ee27dd758d440d88fc960611a1c944c77635d8407",
+    ("invalid", "to_cycle_rooted", "statistics"):
+        "d36f3ae6d706e2e9cac8716b428dec8df59f5f02866e74c68d45d283be85b9cf",
+    ("invalid", "multiset_to_cycle_tree", "all"):
+        "601d3b01ab4a560244102f897c4021386092b2d99e8177f01c6cf51093ece3f0",
+    ("invalid", "multiset_to_cycle_tree", "bijections"):
+        "1d66e9713932895ad9121a5cbf7a609c91325a3bd93f1f33b7ef620c14748714",
+    ("invalid", "multiset_to_cycle_tree", "statistics"):
+        "f37f65001a355a7351daa61ce5746c31fd46a1ade068a691d3530ad8b208686d",
+    ("invalid", "ornament_to_multiset", "all"):
+        "381b817a640f0d43eb36ede63dba8891993ffd3c30575a2137c5bdaaf971a8f6",
+    ("invalid", "ornament_to_multiset", "bijections"):
+        "3f06aea047f97b2841fb8ce1bf610aa224d544c58ded6d2b045033944335f89b",
+    ("invalid", "ornament_to_multiset", "statistics"):
+        "e3e5d2ff6bbf396310725e48b6da477bfb8720f0257fe75666d6ea2bdcd50410",
+    ("invalid", "cycle_tree_to_multiset", "all"):
+        "c8326fac8bea46b07e032632ff577666509126c7364bcfec8d5192943d0cdfe9",
+    ("invalid", "cycle_tree_to_multiset", "bijections"):
+        "7b65432a4caec750e947a484ff07ab90a5174286f47b9cab32e908dcbce20f58",
+    ("invalid", "cycle_tree_to_multiset", "statistics"):
+        "99dd8229f0e02bf77561b8e100669b11bff3899c5d87cfc14b1053c97d9ae7ec",
+    ("hidden", "stale-slot-map", "all"):
+        "b6a6e071f473ab40927df02ccd3729ee45cfeb74f5c7cf1d0883cb37193f8bdf",
+    ("hidden", "stale-slot-map", "bijections"):
+        "f761d1a2be98fd7cdaa3d6521740f24a49ee8bcc3cc62f62013eef8259681256",
+    ("hidden", "stale-slot-map", "statistics"):
+        "f37f65001a355a7351daa61ce5746c31fd46a1ade068a691d3530ad8b208686d",
+    ("hidden", "extra-root", "all"):
+        "20c2129661a73a13f796933386e0384f588d41c791ccfcc81fe463724ac586fd",
+    ("hidden", "extra-root", "bijections"):
+        "c0dab5650f6ef5180868395d2eeaa9eec2adf13941308c32d060ee0595790130",
+    ("hidden", "extra-root", "statistics"):
+        "c121112f63ff901937b74d889e1b885dde033dbb7c358bcb0f3f5af667b55b71",
+    ("hidden", "f-of-another-multiset", "all"):
+        "23b775c12c5cb97ad4cd1f30375c914724bf56ca17bed74be631723f93a238a0",
+    ("hidden", "f-of-another-multiset", "bijections"):
+        "1dc3de64064c112fc1a496cf36626902acbb8164e975c98a1d20e072fd1f3091",
+    ("hidden", "f-of-another-multiset", "statistics"):
+        "b7a7ef2f1b88336a949644ea2798ddd9aca99a404f230f038105ad92a156fe12",
+}
+
+
+@pytest.mark.parametrize("fault, which, suite", PINNED_FAILING,
+                         ids=["-".join(key) for key in PINNED_FAILING])
+def test_pinned_failing_reports(monkeypatch, fault, which, suite):
+    _inject(monkeypatch, fault, which)
+    report = json.dumps(run_suite(suite, [K], N).to_json())
+    assert hashlib.sha256(report.encode("utf-8")).hexdigest() == PINNED_FAILING[
+        fault, which, suite]
