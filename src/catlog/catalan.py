@@ -7,9 +7,9 @@ enumeration); nothing here is trusted on its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._trusted import Record
 from .arith import binomial, factorial, format_rational, harmonic, multichoose
 from .errors import check_ints
 from . import series as fps
@@ -136,16 +136,14 @@ def count_multisets(k: int, n: int) -> int:
 # -- coefficient tables -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoeffRow:
+class CoeffRow(Record):
     n: int
     closed_form: Fraction
     series_value: Fraction | None
     match: bool | None
 
 
-@dataclass(frozen=True)
-class CoeffTable:
+class CoeffTable(Record):
     k: int
     power: int
     rows: tuple[CoeffRow, ...]

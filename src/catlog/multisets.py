@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 from . import catalan
-from ._trusted import trusted
+from ._trusted import Record, trusted
 from .errors import DEFAULT_MAX_ENUMERATION, check_cap, check_ints, check_pairs, check_stored
 from .paths import GoodPath, Ornament
 from .trees import CycleRootedTree, _check_cycle, _rotated, canonical_cycle
@@ -65,14 +64,12 @@ def _check_multiset(k, cycle, f, f_map=None):
     return cycle, f_map
 
 
-@dataclass(frozen=True)
-class CyclicMultiset:
+class CyclicMultiset(Record):
     """`f` holds (label, vector) pairs by increasing label; `f_map` as a dict."""
 
     k: int
     cycle: tuple[int, ...]
     f: tuple[tuple[int, tuple[int, ...]], ...]
-    f_map: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cycle, f_map = _check_multiset(self.k, self.cycle, self.f)
@@ -159,11 +156,11 @@ def multiset_rank(m: CyclicMultiset) -> int:
     compositions of n into n(k-1) parts, plus the lexicographic rank of
     the multiplicities read label by label (Knuth, TAOCP vol. 4A,
     7.2.1.2-3; Nijenhuis-Wilf, Combinatorial Algorithms). The ranks fill
-    [0, count_multisets(k, n)) exactly. Raises ValueError unless m is
-    stored exactly as the public constructor stores a multiset on labels
-    1..n: an integer k >= 2, the cycle a tuple of those labels starting
-    at 1, f a tuple of (label, vector) tuples by label, each vector k-1
-    nonnegative integers, all of them summing to n.
+    [0, count_multisets(k, n)) exactly. Reads k, cycle and f, never f_map;
+    raises ValueError unless those are stored exactly as the public
+    constructor stores a multiset on labels 1..n: an integer k >= 2, the cycle
+    a tuple of those labels starting at 1, f a tuple of (label, vector) tuples
+    by label, each vector k-1 nonnegative integers, all of them summing to n.
     """
     if type(m) is not CyclicMultiset or type(m.k) is not int or m.k < 2:
         raise ValueError(_NOT_STORED)

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 
 from . import catalan
-from ._trusted import trusted
+from ._trusted import Record, trusted
 from .arith import factorial
 from .errors import (DEFAULT_MAX_ENUMERATION, check_cap, check_ints, check_labels,
                      check_parts)
@@ -76,8 +75,7 @@ def _check_field(parts) -> None:
         raise ValueError("label sets of field parts must be disjoint")
 
 
-@dataclass(frozen=True)
-class GoodPath:
+class GoodPath(Record):
     k: int
     steps: str
     labels: tuple[int, ...]
@@ -90,8 +88,7 @@ class GoodPath:
         return len(self.labels)
 
 
-@dataclass(frozen=True)
-class MinimalField:
+class MinimalField(Record):
     """A set of label-minimal paths whose label sets are pairwise disjoint."""
 
     parts: frozenset[GoodPath]
@@ -107,8 +104,7 @@ class MinimalField:
         return next(iter(self.parts)).k
 
 
-@dataclass(frozen=True)
-class Ornament:
+class Ornament(Record):
     """A rotation class of labeled good paths, stored by its unique
     label-minimal representative."""
 
@@ -304,21 +300,21 @@ def enumerate_ornaments(
     return list(_ornaments(k, n, max_count))
 
 
-def _set_partitions(items: list[int], blocks: int):
-    """Partitions of `items` into exactly `blocks` nonempty blocks, as lists
-    of sorted tuples; deterministic order."""
-    if blocks < 1 or blocks > len(items):
-        return
-    if blocks == 1:
-        yield [tuple(items)]
-        return
-    first, rest = items[0], items[1:]
-    # first joins an existing block of a smaller partition, or stands alone
-    for part in _set_partitions(rest, blocks):
-        for i in range(len(part)):
-            yield part[:i] + [tuple(sorted((first,) + part[i]))] + part[i + 1 :]
-    for part in _set_partitions(rest, blocks - 1):
-        yield [(first,)] + part
+def _set_partitions(n: int, blocks: int):
+    """Partitions of 1..n into exactly `blocks` <= n nonempty blocks, as lists
+    of sorted tuples by increasing largest label (top). Iterative: the sets of
+    labels that are no top, in lexicographic order, then for each set the
+    strings naming, label by label from the largest down, which block with
+    a larger top it joins, counted from the smallest, in lexicographic order."""
+    for low in itertools.combinations(range(1, n), n - blocks):
+        tops = [t for t in range(1, n + 1) if t not in low]
+        others = low[::-1]
+        above = [sum(t > j for t in tops) for j in others]
+        for string in itertools.product(*map(range, above)):
+            members = [[t] for t in tops]
+            for j, c, i in zip(others, above, string):
+                members[blocks - c + i].append(j)
+            yield [tuple(reversed(m)) for m in members]
 
 
 def _fields(k: int, n: int, parts: int, max_count):
@@ -330,18 +326,18 @@ def _fields(k: int, n: int, parts: int, max_count):
     check_cap(int(predicted), max_count, "minimal fields")
     if parts > n:
         return
-
-    def choices(blocks):  # one path per block, each block re-walked per earlier choice
-        if not blocks:
-            yield ()
-            return
-        for p in _labeled_paths(k, blocks[0], max_count, True):
-            for rest in choices(blocks[1:]):
-                yield (p, *rest)
-
-    for partition in _set_partitions(list(range(1, n + 1)), parts):
-        for choice in choices(partition):
-            yield trusted(MinimalField, parts=frozenset(choice))
+    for blocks in _set_partitions(n, parts):
+        # a stack of walks, each later block re-walked per earlier choice (flat)
+        walks, chosen = [_labeled_paths(k, blocks[0], max_count, True)], []
+        while walks:
+            for p in walks[-1]:
+                chosen[len(walks) - 1:] = [p]
+                if len(walks) < parts:
+                    walks.append(_labeled_paths(k, blocks[len(walks)], max_count, True))
+                    break
+                yield trusted(MinimalField, parts=frozenset(chosen))
+            else:
+                walks.pop()
 
 
 def enumerate_fields(

@@ -15,9 +15,9 @@ from closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._trusted import Record
 from .arith import format_rational, parse_rational
 from .errors import check_ints
 
@@ -28,8 +28,7 @@ def _as_fraction(c) -> Fraction:
     return Fraction(c)
 
 
-@dataclass(frozen=True)
-class Series:
+class Series(Record):
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):

@@ -9,10 +9,8 @@ and bending it into a cycle yields a cycle-rooted tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import catalan
-from ._trusted import trusted
+from ._trusted import Record, trusted
 from .errors import (DEFAULT_MAX_ENUMERATION, check_cap, check_ints, check_labels,
                      check_pairs, check_parts, check_stored)
 
@@ -151,12 +149,9 @@ def _check_cycle_tree(k, cycle, slots, table: Table | None = None):
     return cycle, table
 
 
-@dataclass(frozen=True)
-class _SlotTable:
-    """The checked slot table of a tree structure, by increasing vertex;
-    its `slots` field holds the same rows as (vertex, row) pairs."""
-
-    slot_map: Table = field(init=False, repr=False, compare=False)
+class _SlotTable(Record):
+    """The checked slot table of a tree structure, `slot_map`, by increasing
+    vertex; its `slots` field holds the same rows as (vertex, row) pairs."""
 
     def _keep(self, table: Table) -> None:
         slot_map = dict(sorted(table.items()))
@@ -168,7 +163,6 @@ class _SlotTable:
         return len(self.slot_map)
 
 
-@dataclass(frozen=True)
 class PlaneTree(_SlotTable):
     k: int
     root: int
@@ -178,8 +172,7 @@ class PlaneTree(_SlotTable):
         self._keep(_check_tree(self.k, self.root, self.slots))
 
 
-@dataclass(frozen=True)
-class RootMinimalForest:
+class RootMinimalForest(Record):
     parts: frozenset[PlaneTree]
 
     def __post_init__(self):
@@ -193,7 +186,6 @@ class RootMinimalForest:
         return next(iter(self.parts)).k
 
 
-@dataclass(frozen=True)
 class CycleRootedTree(_SlotTable):
     """A clockwise cycle of roots with vacant rightmost slots, each root
     carrying a hanging plane k-ary subtree.

@@ -9,18 +9,17 @@ so a single wrong constant anywhere flips the overall verdict.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from . import catalan, multisets, paths, trees
 from . import series as fps
+from ._trusted import Record
 from .arith import factorial
 from .errors import DEFAULT_MAX_ENUMERATION, check_ints, check_max_count
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     name: str
     k: int | None
     n: int | None
@@ -28,8 +27,7 @@ class CheckResult:
     message: str = ""
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     suite: str
     results: tuple[CheckResult, ...]
 
@@ -274,9 +272,9 @@ def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResu
             if len(c.cycle) != len(trees.rightmost_branch(t)):
                 fail("cycle-length-is-branch-length", t)
 
-    # the encodings are proven valid by their range checks, the carried
-    # trees are checked in the composed roundtrip; without the bijections
-    # suite, the first statistics check that reads each image checks it
+    # range checks cover the encodings' f, _Range.add's identity test and the
+    # roundtrips their f_map, the composed roundtrip the carried trees; with no
+    # bijections suite, the first statistics check that reads an image checks it
     n_cycle_trees = 0
     cycle_dist: Counter = Counter()
     tree_range = _Range(k, n, rooted) if bijections else None

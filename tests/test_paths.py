@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -473,6 +474,64 @@ class TestGoodWords:
         first = next(walk(1500))
         assert first.steps == "R" * 1500 + "U" * ((first.k - 1) * 1500)
         assert first.labels == tuple(range(1, 1501))
+
+
+def recursive_set_partitions(items: list[int], blocks: int):
+    """Partitions of `items` into exactly `blocks` nonempty blocks, by
+    recursion on the first item: the order oracle for the iterative walk."""
+    if blocks < 1 or blocks > len(items):
+        return
+    if blocks == 1:
+        yield [tuple(items)]
+        return
+    first, rest = items[0], items[1:]
+    # first joins an existing block of a smaller partition, or stands alone
+    for part in recursive_set_partitions(rest, blocks):
+        for i in range(len(part)):
+            yield part[:i] + [tuple(sorted((first,) + part[i]))] + part[i + 1 :]
+    for part in recursive_set_partitions(rest, blocks - 1):
+        yield [(first,)] + part
+
+
+def recursive_fields(k: int, n: int, parts: int):
+    """The minimal fields by set partition, then one label-minimal path per
+    block, each block re-walked per earlier choice: the order oracle for
+    enumerate_fields."""
+    def choices(blocks):
+        if not blocks:
+            yield ()
+            return
+        for p in enumerate_minimal_paths(k, blocks[0]):
+            for rest in choices(blocks[1:]):
+                yield (p, *rest)
+
+    for partition in recursive_set_partitions(list(range(1, n + 1)), parts):
+        for choice in choices(partition):
+            yield MinimalField(frozenset(choice))
+
+
+class TestFieldsWalk:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_partitions_in_the_recursive_order(self, n):
+        for blocks in range(1, n + 1):
+            assert list(paths._set_partitions(n, blocks)) == \
+                list(recursive_set_partitions(list(range(1, n + 1)), blocks)), blocks
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_fields_in_the_recursive_order(self, k):
+        for n in range(1, 6):
+            for a in range(1, n + 1):
+                assert enumerate_fields(k, n, a) == list(recursive_fields(k, n, a)), (n, a)
+
+    def test_fields_walk_holds_no_block_list(self):
+        # 7,750 fields; listing the 4-label block's paths would peak near 650 kB
+        tracemalloc.start()
+        try:
+            assert sum(1 for _ in paths._fields(3, 5, 2, None)) == 7750
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 class TestDeterminism:

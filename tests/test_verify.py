@@ -469,8 +469,9 @@ INVALID_IMAGES = {
                        "composed-correspondence-roundtrip"},
         "statistics": {"touch-labels-become-roots"}},
         ("all", "composed-correspondence-roundtrip")),
-    # the encodings are proven valid by their range checks, and checked by
-    # the first statistics check that reads them when those do not run
+    # range checks cover the encodings' f, _Range.add's identity test and the
+    # roundtrips their f_map; the first statistics check that reads an
+    # encoding checks it when those do not run
     "ornament_to_multiset": (multisets, "ornament_to_multiset", lambda: _rotated_encoding(
         multisets.ornament_to_multiset, paths.enumerate_ornaments(K, N)), {
         "all": {"ornament-encoding-range"}, "bijections": {"ornament-encoding-range"},
