@@ -16,17 +16,20 @@ class Record:
     declaration order; a class attribute named after a field is its
     default. `__init__` stores the fields, then runs the class's
     `__post_init__` if it has one. A record equals only a record of its
-    own class with equal fields. Attributes outside the fields, such as a
-    derived `slot_map`, stay out of eq, hash and repr. Assignment and
-    deletion raise AttributeError."""
+    own class with equal fields. A field annotated `dict[...]` is a
+    table: eq and hash read a dict there as the tuple of its items, so
+    its rows count in order. Assignment and deletion raise AttributeError."""
 
     def __init_subclass__(cls):
         super().__init_subclass__()
-        cls._fields = fields = tuple(vars(cls).get("__annotations__", ()))
+        annotations = vars(cls).get("__annotations__", {})
+        cls._fields = fields = tuple(annotations)
         params = "".join(f", {f}=_cls.{f}" if f in vars(cls) else f", {f}" for f in fields)
         body = [f"_setattr(self, {f!r}, {f})" for f in fields]
         body.append("self.__post_init__()" if hasattr(cls, "__post_init__") else "pass")
-        mine = f"({''.join(f'self.{f}, ' for f in fields)})"
+        read = [f"(tuple(self.{f}.items()) if type(self.{f}) is dict else self.{f})"
+                if str(annotations[f]).startswith("dict[") else f"self.{f}" for f in fields]
+        mine = f"({''.join(f'{r}, ' for r in read)})"
         space = {"_cls": cls, "_setattr": object.__setattr__}
         exec(_METHODS.format(params=params, body="\n    ".join(body), mine=mine,
                              theirs=mine.replace("self.", "other.")), space)
@@ -50,12 +53,11 @@ def trusted(cls, **fields):
     as given, built without running its `__post_init__`.
 
     Precondition: `fields` names every field of `cls` in declaration
-    order, the derived `slot_map` and `f_map` last, and each value is
-    exactly what the public constructor would store for the same valid
-    structure: tuples, not lists; slot tables and multiplicity vectors
-    sorted by vertex, the dict and the pairs holding the same rows; the
-    cycle starting at its minimal label; the parts of a field or forest
-    as a frozenset.
+    order, and each value is exactly what the public constructor would
+    store for the same valid structure: tuples, not lists; a slot table
+    or multiplicity map a dict by increasing vertex, each row a tuple;
+    the cycle starting at its minimal label; the parts of a field or
+    forest as a frozenset.
     Nothing is checked here: the enumerators check their arguments on
     entry, they and the bijections build only valid structures, and the
     verify suites run the constructors' checks on those in place.

@@ -57,19 +57,20 @@ def check_parts(parts, cls, message: str) -> frozenset:
     return unique
 
 
-def check_stored(table, pairs, width: int, least=None) -> None:
-    """Refuse unless `table`, a derived dict, holds `pairs` as the constructors
-    store them: in order, by increasing positive int key, each row a tuple
-    of `width` entries, ints >= `least` unless it is None. A loop beats one
-    C pass per property on tables this small."""
-    if type(table) is not dict or tuple(table.items()) != pairs:
+def check_stored(table, width: int, least=None) -> dict:
+    """`table`, once it is stored as the constructors store it: a dict by
+    increasing positive int key, each row a tuple of `width` entries, ints
+    >= `least` unless it is None. A loop beats one C pass per property on
+    tables this small."""
+    if type(table) is not dict:
         raise ValueError("a table is not stored as its constructor stores it")
     last = 0
-    for v, row in pairs:
+    for v, row in table.items():
         if (type(v) is not int or v <= last or not isinstance(row, tuple) or len(row) != width
                 or least is not None and (set(map(type, row)) != {int} or min(row) < least)):
             raise ValueError("a table is not stored as its constructor stores it")
         last = v
+    return table
 
 
 def check_max_count(max_count) -> None:

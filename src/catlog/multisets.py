@@ -32,16 +32,16 @@ from .paths import GoodPath, Ornament
 from .trees import CycleRootedTree, _check_cycle, _rotated, canonical_cycle
 
 
-def _check_multiset(k, cycle, f, f_map=None):
+def _check_multiset(k, cycle, f, stored=False):
     """The checks of a cyclic multiset, in order; returns the cycle as a
-    tuple and the multiplicity map. `f_map` is the dict stored with `f`;
-    None reads it from `f`, a dict or (label, vector) pairs, in one loop."""
+    tuple and the multiplicity map. `stored` f is checked as the stored
+    map; otherwise it is read, a dict or (label, vector) pairs, in one loop."""
     check_ints("multisets need an integer k >= 2", (k, 2))
     cycle = _check_cycle(cycle)
-    if f_map is not None:
-        check_stored(f_map, f, k - 1, 0)
+    if stored:
+        table = check_stored(f, k - 1, 0)
     else:
-        f_map = {}
+        table = {}
         for v, vec in check_pairs(f, "f must be a dict or (label, vector) pairs"):
             if type(v) is not int:
                 raise ValueError(f"f is keyed by the integer cycle labels, not {v!r}")
@@ -53,30 +53,28 @@ def _check_multiset(k, cycle, f, f_map=None):
                 raise ValueError(f"multiplicity vector of {v} must have length k-1 = {k - 1}")
             if set(map(type, vec)) != {int} or min(vec) < 0:
                 raise ValueError("multiplicities must be nonnegative integers")
-            if v in f_map:
+            if v in table:
                 raise ValueError(f"f names vertex {v} twice")
-            f_map[v] = vec
-    if f_map.keys() != set(cycle):
+            table[v] = vec
+    if table.keys() != set(cycle):
         raise ValueError("multiplicities must cover exactly the cycle labels")
-    total = sum(map(sum, f_map.values()))
+    total = sum(map(sum, table.values()))
     if total != len(cycle):
         raise ValueError(f"multiplicities sum to {total}, must equal the label count {len(cycle)}")
-    return cycle, f_map
+    return cycle, table
 
 
 class CyclicMultiset(Record):
-    """`f` holds (label, vector) pairs by increasing label; `f_map` as a dict."""
+    """`f` maps each label to its vector, a dict by increasing label."""
 
     k: int
     cycle: tuple[int, ...]
-    f: tuple[tuple[int, tuple[int, ...]], ...]
+    f: dict[int, tuple[int, ...]]
 
     def __post_init__(self):
-        cycle, f_map = _check_multiset(self.k, self.cycle, self.f)
-        f_map = dict(sorted(f_map.items()))
+        cycle, f = _check_multiset(self.k, self.cycle, self.f)
         object.__setattr__(self, "cycle", cycle)
-        object.__setattr__(self, "f_map", f_map)
-        object.__setattr__(self, "f", tuple(f_map.items()))
+        object.__setattr__(self, "f", dict(sorted(f.items())))
 
     @property
     def n(self) -> int:
@@ -96,11 +94,11 @@ def root_vertices(m: CyclicMultiset) -> set[int]:
     Only the steps at the (v, 1) nodes are negative, so the minimum is a
     prefix sum just after some (v, 1).
     """
-    f_map = m.f_map
+    f = m.f
     before = []
     low = total = 0
     for v in m.cycle:
-        vec = f_map[v]
+        vec = f[v]
         before.append(total)
         after_first = total + vec[0] - 1  # the prefix sum just after (v, 1)
         if after_first < low:
@@ -126,9 +124,8 @@ def _multisets(k: int, n: int, max_count):
     check_cap(catalan.count_multisets(k, n), max_count, "cyclic multisets")
     for rest in itertools.permutations(range(2, n + 1)):
         for comp in _weak_compositions(n, n * (k - 1)):  # k-1 entries per label
-            f_map = dict(zip(range(1, n + 1), zip(*[iter(comp)] * (k - 1))))
-            yield trusted(CyclicMultiset, k=k, cycle=(1, *rest), f=tuple(f_map.items()),
-                          f_map=f_map)
+            yield trusted(CyclicMultiset, k=k, cycle=(1, *rest),
+                          f=dict(zip(range(1, n + 1), zip(*[iter(comp)] * (k - 1)))))
 
 
 def enumerate_multisets(
@@ -156,17 +153,17 @@ def multiset_rank(m: CyclicMultiset) -> int:
     compositions of n into n(k-1) parts, plus the lexicographic rank of
     the multiplicities read label by label (Knuth, TAOCP vol. 4A,
     7.2.1.2-3; Nijenhuis-Wilf, Combinatorial Algorithms). The ranks fill
-    [0, count_multisets(k, n)) exactly. Reads k, cycle and f, never f_map;
-    raises ValueError unless those are stored exactly as the public
-    constructor stores a multiset on labels 1..n: an integer k >= 2, the cycle
-    a tuple of those labels starting at 1, f a tuple of (label, vector) tuples
-    by label, each vector k-1 nonnegative integers, all of them summing to n.
+    [0, count_multisets(k, n)) exactly. Raises ValueError unless m is
+    stored exactly as the public constructor stores a multiset on labels
+    1..n: an integer k >= 2, the cycle a tuple of those labels starting at
+    1, f a dict by label, each vector a tuple of k-1 nonnegative integers,
+    all of them summing to n.
     """
     if type(m) is not CyclicMultiset or type(m.k) is not int or m.k < 2:
         raise ValueError(_NOT_STORED)
     k, cycle, f = m.k, m.cycle, m.f
     n = len(cycle)
-    if type(cycle) is not tuple or cycle[:1] != (1,) or type(f) is not tuple or len(f) != n:
+    if type(cycle) is not tuple or cycle[:1] != (1,) or type(f) is not dict or len(f) != n:
         raise ValueError(_NOT_STORED)
     rest = list(range(1, n + 1))
     perm = 0
@@ -178,11 +175,10 @@ def multiset_rank(m: CyclicMultiset) -> int:
         rest.pop(i)
     comp = 0
     total, parts = n, n * (k - 1)
-    for label, row in enumerate(f, 1):
-        if (type(row) is not tuple or len(row) != 2 or type(row[0]) is not int
-                or row[0] != label or type(row[1]) is not tuple or len(row[1]) != k - 1):
+    for label, (v, vec) in enumerate(f.items(), 1):
+        if type(v) is not int or v != label or type(vec) is not tuple or len(vec) != k - 1:
             raise ValueError(_NOT_STORED)
-        for x in row[1]:
+        for x in vec:
             if type(x) is not int or not 0 <= x <= total:
                 raise ValueError(_NOT_STORED)
             if x:  # the compositions that put less than x here come first
@@ -249,9 +245,8 @@ def _encoded(k: int, order, counts: dict[int, list[int]]) -> CyclicMultiset:
     """The multiset that an encoding produced: the cycle `order` and the
     multiplicity vectors `counts`, stored the way the public constructor
     stores them."""
-    f_map = {v: tuple(counts[v]) for v in sorted(counts)}
     return trusted(CyclicMultiset, k=k, cycle=canonical_cycle(order),
-                   f=tuple(f_map.items()), f_map=f_map)
+                   f={v: tuple(counts[v]) for v in sorted(counts)})
 
 
 def _least_root_order(m: CyclicMultiset) -> tuple[tuple[int, ...], set[int]]:
@@ -280,7 +275,7 @@ def multiset_to_ornament(m: CyclicMultiset, rooted=None) -> Ornament:
     order, _ = _decoder_start(m, rooted, "ornament")
     chunks = []
     for v in order:
-        for r in m.f_map[v]:
+        for r in m.f[v]:
             chunks.append("R" * r + "U")
     return trusted(Ornament, rep=trusted(GoodPath, k=m.k, steps="".join(chunks),
                                          labels=order))
@@ -302,7 +297,7 @@ def cycle_tree_to_multiset(c: CycleRootedTree) -> CyclicMultiset:
     below the reporting one, which is what makes the multiplicities sum
     to n.
     """
-    k, slot_map = c.k, c.slot_map
+    k, table = c.k, c.slots
     slots = range(k - 1, -1, -1)  # right to left: the leftmost child is pushed last
     order: list[int] = []
     f = {}
@@ -313,7 +308,7 @@ def cycle_tree_to_multiset(c: CycleRootedTree) -> CyclicMultiset:
         while stack:
             v, p = stack.pop()
             order.append(v)
-            row = slot_map[v]
+            row = table[v]
             vec = []
             for q in slots:
                 u = row[q]
@@ -323,7 +318,7 @@ def cycle_tree_to_multiset(c: CycleRootedTree) -> CyclicMultiset:
                     length = 0
                     while u is not None:
                         length += 1
-                        u = slot_map[u][q]
+                        u = table[u][q]
                     vec.append(length)
             vec.reverse()
             f[v] = vec
@@ -341,7 +336,7 @@ def multiset_to_cycle_tree(m: CyclicMultiset, rooted=None) -> CycleRootedTree:
     """
     seq, roots = _decoder_start(m, rooted, "tree")
     k = m.k
-    table: dict[int, list[int | None]] = {v: [None] * k for v in m.f_map}
+    table: dict[int, list[int | None]] = {v: [None] * k for v in m.f}
     cyc: list[int] = []
     pos = 0
     while pos < len(seq):
@@ -349,7 +344,7 @@ def multiset_to_cycle_tree(m: CyclicMultiset, rooted=None) -> CycleRootedTree:
         if r not in roots:
             raise ValueError("exploration replay hit a non-root where a root was due")
         cyc.append(r)
-        chains = [*m.f_map[r], 0]
+        chains = [*m.f[r], 0]
         chains[0] -= 1
         if chains[0] < 0:
             raise ValueError("a root must carry multiplicity at least 1 on its first node")
@@ -371,11 +366,10 @@ def multiset_to_cycle_tree(m: CyclicMultiset, rooted=None) -> CycleRootedTree:
             pos += 1
             table[v][q] = child
             # the child's own chains, with the chain it continues in slot q
-            vec = m.f_map[child]
+            vec = m.f[child]
             stack.append((child, [*vec[:q], chains[q] - 1, *vec[q:]], iter(range(k))))
-    slot_map = {v: tuple(row) for v, row in table.items()}
-    return trusted(CycleRootedTree, k=k, cycle=tuple(cyc), slots=tuple(slot_map.items()),
-                   slot_map=slot_map)
+    return trusted(CycleRootedTree, k=k, cycle=tuple(cyc),
+                   slots={v: tuple(row) for v, row in table.items()})
 
 
 # -- the composed correspondence -------------------------------------------------

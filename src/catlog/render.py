@@ -40,17 +40,17 @@ def render_path(p: GoodPath) -> str:
     return "\n".join(lines)
 
 
-def _render_slots(slot_map, v: int, lines: list[str]) -> None:
+def _render_slots(table, v: int, lines: list[str]) -> None:
     """One line per slot below v, depth first: `depth [slot] occupant`,
     the depth as a number, so a listing grows linearly with the tree."""
-    for depth, q, child in slot_walk(slot_map, v):
+    for depth, q, child in slot_walk(table, v):
         occupant = "-" if child is None else child
         lines.append(f"{depth} [{q + 1}] {occupant}")
 
 
 def render_tree(t: PlaneTree) -> str:
     lines = [f"tree k={t.k}", str(t.root)]
-    _render_slots(t.slot_map, t.root, lines)
+    _render_slots(t.slots, t.root, lines)
     return "\n".join(lines)
 
 
@@ -59,7 +59,7 @@ def render_cycle_tree(c: CycleRootedTree) -> str:
     lines = [f"cycle-tree k={c.k}", header]
     for r in c.cycle:
         lines.append(f"root {r}")
-        _render_slots(c.slot_map, r, lines)
+        _render_slots(c.slots, r, lines)
     return "\n".join(lines)
 
 

@@ -16,8 +16,9 @@ from .paths import GoodPath, MinimalField, Ornament
 from .trees import CycleRootedTree, PlaneTree, RootMinimalForest
 
 
-def _slots_obj(slots) -> dict:
-    return {str(v): list(row) for v, row in slots}
+def _table_obj(table) -> dict:
+    """A slot table or multiplicity map, keyed by the vertex as a string."""
+    return {str(v): list(row) for v, row in table.items()}
 
 
 def _int(value):
@@ -80,7 +81,7 @@ def to_obj(x) -> dict:
         parts = sorted(x.parts, key=lambda p: (p.steps, p.labels))
         return {"kind": kind, "parts": [to_obj(p) for p in parts]}
     if kind == "tree":
-        return {"kind": kind, "k": x.k, "root": x.root, "slots": _slots_obj(x.slots)}
+        return {"kind": kind, "k": x.k, "root": x.root, "slots": _table_obj(x.slots)}
     if kind == "forest":
         parts = sorted(x.parts, key=lambda t: t.root)
         return {"kind": kind, "parts": [to_obj(t) for t in parts]}
@@ -89,14 +90,14 @@ def to_obj(x) -> dict:
             "kind": kind,
             "k": x.k,
             "cycle": list(x.cycle),
-            "slots": _slots_obj(x.slots),
+            "slots": _table_obj(x.slots),
         }
     if kind == "multiset":
         return {
             "kind": kind,
             "k": x.k,
             "cycle": list(x.cycle),
-            "f": {str(v): list(vec) for v, vec in x.f},
+            "f": _table_obj(x.f),
         }
     raise ValueError(f"cannot serialize {type(x).__name__}")
 
@@ -156,5 +157,9 @@ def _unique_keys(pairs) -> dict:
 
 def loads(text: str):
     """Parse and rebuild one structure; a JSON object that repeats a key
-    is rejected instead of keeping its last value."""
-    return from_obj(json.loads(text, object_pairs_hook=_unique_keys))
+    is rejected instead of keeping its last value, and so is input nested
+    past the recursion limit, which no structure comes near."""
+    try:
+        return from_obj(json.loads(text, object_pairs_hook=_unique_keys))
+    except RecursionError:
+        raise ValueError("input nests too deeply to be a structure") from None

@@ -14,7 +14,6 @@ from ._trusted import Record, trusted
 from .errors import (DEFAULT_MAX_ENUMERATION, check_cap, check_ints, check_labels,
                      check_pairs, check_parts, check_stored)
 
-Slots = tuple[tuple[int, tuple[int | None, ...]], ...]
 Table = dict[int, tuple[int | None, ...]]
 
 
@@ -49,16 +48,16 @@ def _check_cycle(cycle) -> tuple[int, ...]:
     return cycle
 
 
-def slot_walk(slot_map, root: int):
-    """Every slot below `root` as (depth, slot, occupant): depth first,
-    leftmost slot first, the root's own slots at depth 1, None for a
-    vacancy. Iterative, so deep trees need no recursion."""
-    stack = [enumerate(slot_map[root])]  # one open row per level
+def slot_walk(table, root: int):
+    """Every slot below `root` in the slot table as (depth, slot, occupant):
+    depth first, leftmost slot first, the root's own slots at depth 1, None
+    for a vacancy. Iterative, so deep trees need no recursion."""
+    stack = [enumerate(table[root])]  # one open row per level
     while stack:
         for q, child in stack[-1]:
             yield len(stack), q, child
             if child is not None:
-                stack.append(enumerate(slot_map[child]))
+                stack.append(enumerate(table[child]))
                 break
         else:
             stack.pop()
@@ -73,12 +72,12 @@ def _relink(k: int, slots, links) -> Table:
     return table
 
 
-def _slot_table(k: int, roots: tuple[int, ...], slots, table: Table | None) -> Table:
+def _slot_table(k: int, roots: tuple[int, ...], slots, stored: bool) -> Table:
     """Walk from `roots` meeting each occupant once: a k-ary forest with
-    exactly these roots passes. `table` is the dict stored with `slots`;
-    None reads it from `slots`, a dict or (vertex, row) pairs, in one loop."""
-    if table is not None:
-        check_stored(table, slots, k)
+    exactly these roots passes. `stored` slots are checked as the stored
+    table; otherwise they are read, a dict or (vertex, row) pairs, in one loop."""
+    if stored:
+        table = check_stored(slots, k)
     else:
         table = {}
         for v, row in check_pairs(slots, "slots must be a dict or (vertex, row) pairs"):
@@ -116,12 +115,12 @@ def _slot_table(k: int, roots: tuple[int, ...], slots, table: Table | None) -> T
     return table
 
 
-def _check_tree(k, root, slots, table: Table | None = None) -> Table:
-    """The checks of a plane tree, in order; `table` as in _slot_table."""
+def _check_tree(k, root, slots, stored=False) -> Table:
+    """The checks of a plane tree, in order; `stored` as in _slot_table."""
     check_ints("trees need an integer k >= 2", (k, 2))
     if type(root) is not int:
         raise ValueError("the root must be a positive integer")
-    return _slot_table(k, (root,), slots, table)
+    return _slot_table(k, (root,), slots, stored)
 
 
 def _check_forest(parts) -> None:
@@ -134,15 +133,15 @@ def _check_forest(parts) -> None:
     # the same in any set order
     if not all(map(is_root_minimal, parts)):
         raise ValueError("every tree of the forest must be root-minimal")
-    if sum(t.n for t in parts) != len(set().union(*(t.slot_map for t in parts))):
+    if sum(t.n for t in parts) != len(set().union(*(t.slots for t in parts))):
         raise ValueError("vertex sets of forest trees must be disjoint")
 
 
-def _check_cycle_tree(k, cycle, slots, table: Table | None = None):
-    """The checks of a cycle-rooted tree, in order; `table` as in _slot_table."""
+def _check_cycle_tree(k, cycle, slots, stored=False):
+    """The checks of a cycle-rooted tree, in order; `stored` as in _slot_table."""
     check_ints("trees need an integer k >= 2", (k, 2))
     cycle = _check_cycle(cycle)
-    table = _slot_table(k, cycle, slots, table)
+    table = _slot_table(k, cycle, slots, stored)
     for r in cycle:
         if table[r][k - 1] is not None:
             raise ValueError("the rightmost slot of a cycle vertex must stay vacant")
@@ -150,23 +149,21 @@ def _check_cycle_tree(k, cycle, slots, table: Table | None = None):
 
 
 class _SlotTable(Record):
-    """The checked slot table of a tree structure, `slot_map`, by increasing
-    vertex; its `slots` field holds the same rows as (vertex, row) pairs."""
+    """A tree structure whose `slots` field holds its checked slot table,
+    a dict by increasing vertex."""
 
     def _keep(self, table: Table) -> None:
-        slot_map = dict(sorted(table.items()))
-        object.__setattr__(self, "slot_map", slot_map)
-        object.__setattr__(self, "slots", tuple(slot_map.items()))
+        object.__setattr__(self, "slots", dict(sorted(table.items())))
 
     @property
     def n(self) -> int:
-        return len(self.slot_map)
+        return len(self.slots)
 
 
 class PlaneTree(_SlotTable):
     k: int
     root: int
-    slots: Slots
+    slots: dict[int, tuple[int | None, ...]]
 
     def __post_init__(self):
         self._keep(_check_tree(self.k, self.root, self.slots))
@@ -196,7 +193,7 @@ class CycleRootedTree(_SlotTable):
 
     k: int
     cycle: tuple[int, ...]
-    slots: Slots
+    slots: dict[int, tuple[int | None, ...]]
 
     def __post_init__(self):
         cycle, table = _check_cycle_tree(self.k, self.cycle, self.slots)
@@ -208,7 +205,7 @@ def rightmost_branch(t: PlaneTree) -> list[int]:
     """The root, then repeatedly the occupant of the rightmost slot."""
     out = [t.root]
     while True:
-        nxt = t.slot_map[out[-1]][t.k - 1]
+        nxt = t.slots[out[-1]][t.k - 1]
         if nxt is None:
             return out
         out.append(nxt)
@@ -271,8 +268,7 @@ def _trees(k: int, labels, max_count):
     check_cap(catalan.count_paths(k, len(base)), max_count, "plane trees")
     for root in base:
         for table in _slot_search(k, base, (root,), False):
-            yield trusted(PlaneTree, k=k, root=root, slots=tuple(table.items()),
-                          slot_map=table)
+            yield trusted(PlaneTree, k=k, root=root, slots=table)
 
 
 def enumerate_trees(
@@ -296,7 +292,7 @@ def tree_to_forest(t: PlaneTree) -> RootMinimalForest:
             roots.append(nxt)
     if len(roots) == 1:
         return trusted(RootMinimalForest, parts=frozenset({t}))
-    table = _relink(t.k, t.slot_map, cuts)
+    table = _relink(t.k, t.slots, cuts)
     parts = []
     for r in roots:
         part = {}
@@ -305,9 +301,7 @@ def tree_to_forest(t: PlaneTree) -> RootMinimalForest:
             v = stack.pop()
             part[v] = row = table[v]
             stack.extend(filter(None, row))  # the occupants; vertices are positive
-        part = dict(sorted(part.items()))
-        parts.append(trusted(PlaneTree, k=t.k, root=r, slots=tuple(part.items()),
-                             slot_map=part))
+        parts.append(trusted(PlaneTree, k=t.k, root=r, slots=dict(sorted(part.items()))))
     return trusted(RootMinimalForest, parts=frozenset(parts))
 
 
@@ -318,11 +312,9 @@ def forest_to_tree(f: RootMinimalForest) -> PlaneTree:
     if len(f.parts) == 1:
         return next(iter(f.parts))
     parts = sorted(f.parts, key=lambda t: t.root, reverse=True)
-    rows = sorted(row for t in parts for row in t.slots)
+    rows = sorted(row for t in parts for row in t.slots.items())
     links = {rightmost_branch(a)[-1]: b.root for a, b in zip(parts, parts[1:])}
-    table = _relink(f.k, rows, links)
-    return trusted(PlaneTree, k=f.k, root=parts[0].root, slots=tuple(table.items()),
-                   slot_map=table)
+    return trusted(PlaneTree, k=f.k, root=parts[0].root, slots=_relink(f.k, rows, links))
 
 
 def to_cycle_rooted(t: PlaneTree) -> CycleRootedTree:
@@ -331,18 +323,15 @@ def to_cycle_rooted(t: PlaneTree) -> CycleRootedTree:
     if not is_root_minimal(t):
         raise ValueError("only a root-minimal tree bends into a cycle")
     branch = tuple(rightmost_branch(t))
-    table = _relink(t.k, t.slot_map, dict.fromkeys(branch))
-    return trusted(CycleRootedTree, k=t.k, cycle=branch, slots=tuple(table.items()),
-                   slot_map=table)
+    table = _relink(t.k, t.slots, dict.fromkeys(branch))
+    return trusted(CycleRootedTree, k=t.k, cycle=branch, slots=table)
 
 
 def to_root_minimal(c: CycleRootedTree) -> PlaneTree:
     """Open the root cycle before its minimal vertex; the cycle becomes the
     rightmost branch of a root-minimal tree."""
     links = dict(zip(c.cycle, c.cycle[1:]))
-    table = _relink(c.k, c.slot_map, links)
-    return trusted(PlaneTree, k=c.k, root=c.cycle[0], slots=tuple(table.items()),
-                   slot_map=table)
+    return trusted(PlaneTree, k=c.k, root=c.cycle[0], slots=_relink(c.k, c.slots, links))
 
 
 def _cycle_rooted(k: int, n: int, max_count):
@@ -357,8 +346,7 @@ def _cycle_rooted(k: int, n: int, max_count):
         cycle = stack.pop()
         stack += [cycle + (v,) for v in range(n, cycle[0], -1) if v not in cycle]
         for table in _slot_search(k, labels, cycle, True):
-            yield trusted(CycleRootedTree, k=k, cycle=cycle, slots=tuple(table.items()),
-                          slot_map=table)
+            yield trusted(CycleRootedTree, k=k, cycle=cycle, slots=table)
 
 
 def enumerate_cycle_rooted(

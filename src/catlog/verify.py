@@ -157,23 +157,23 @@ def _parts_ok(parts, cls, check) -> bool:
 
 
 # each structure verify checks, or whose parts it checks: its constructor's
-# checks run on its stored fields, which must come back as they are
+# checks run on its stored fields, and a stored cycle or labels must come
+# back as they are
 _IN_PLACE = {
     paths.GoodPath: lambda p: paths._check_path(p.k, p.steps, p.labels) == p.labels,
     paths.MinimalField: lambda f: _parts_ok(f.parts, paths.GoodPath, paths._check_field),
-    trees.PlaneTree: lambda t: trees._check_tree(t.k, t.root, t.slots, t.slot_map) is t.slot_map,
+    trees.PlaneTree: lambda t: bool(trees._check_tree(t.k, t.root, t.slots, True)),
     trees.RootMinimalForest: lambda f: _parts_ok(f.parts, trees.PlaneTree, trees._check_forest),
     trees.CycleRootedTree: lambda c: trees._check_cycle_tree(
-        c.k, c.cycle, c.slots, c.slot_map) == (c.cycle, c.slot_map),
+        c.k, c.cycle, c.slots, True)[0] == c.cycle,
     multisets.CyclicMultiset: lambda m: multisets._check_multiset(
-        m.k, m.cycle, m.f, m.f_map) == (m.cycle, m.f_map),
+        m.k, m.cycle, m.f, True)[0] == m.cycle,
 }
 
 
 def _valid(x) -> bool:
     """x is stored as its public constructor would store it: the
-    constructor's checks run in place on x's stored fields and parts, and
-    a derived dict (`slot_map`, `f_map`) must hold the pairs it mirrors.
+    constructor's checks run in place on x's stored fields and parts.
 
     The enumerators and bijections build through the trusted constructor.
     An image is checked this way in the first check that reads it, unless
@@ -196,17 +196,15 @@ class _Range:
         self.others: list = []  # distinct images equal to no multiset of the point
 
     def add(self, m) -> int | None:
-        """Mark the rank of image m; return it when `f_map` holds the very
-        pairs of `f`, so that a decoder reads what the rank checked."""
+        """Mark the rank of image m and return it; None for an image that
+        is no multiset of the point."""
         try:
             r = multisets.multiset_rank(m)
         except ValueError:
             r = None
         if r is not None and (m.k, m.n) == (self.k, self.n):
             self.seen[r] = 1
-            held = type(m.f_map) is dict and len(m.f_map) == len(m.f) and all(
-                a is b and u is v for (a, u), (b, v) in zip(m.f_map.items(), m.f))
-            return r if held else None
+            return r
         if m not in self.others:  # by equality: an invalid image may not hash
             self.others.append(m)
         return None
@@ -272,9 +270,9 @@ def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResu
             if len(c.cycle) != len(trees.rightmost_branch(t)):
                 fail("cycle-length-is-branch-length", t)
 
-    # range checks cover the encodings' f, _Range.add's identity test and the
-    # roundtrips their f_map, the composed roundtrip the carried trees; with no
-    # bijections suite, the first statistics check that reads an image checks it
+    # range checks cover the encodings, the composed roundtrip the carried
+    # trees; with no bijections suite, the first statistics check that reads
+    # an image checks it
     n_cycle_trees = 0
     cycle_dist: Counter = Counter()
     tree_range = _Range(k, n, rooted) if bijections else None

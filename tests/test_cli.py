@@ -414,6 +414,35 @@ class TestShapeErrors:
         assert field in err
 
 
+def _fields_of_fields(depth: int) -> str:
+    """A field whose only part is a field, `depth` fields deep, around a path."""
+    return '{"kind":"field","parts":[' * depth + SINGLE_PATH + "]}" * depth
+
+
+class TestDeepJSON:
+    """JSON nested past the recursion limit exits 2 with one line, whether
+    the JSON parser or the structure reader meets the limit first."""
+
+    @pytest.mark.parametrize("text", ["[" * 100_000, _fields_of_fields(450)],
+                             ids=["open-brackets", "fields-of-fields"])
+    @pytest.mark.parametrize("argv", [("map", "--target", "path"), ("render",)],
+                             ids=["map", "render"])
+    def test_exits_2_with_one_line(self, capsys, monkeypatch, text, argv):
+        feed(monkeypatch, text)
+        assert run(capsys, *argv) == (2, "", "error: input nests too deeply to be a structure\n")
+
+    def test_in_a_fresh_process(self):
+        proc = run_python("-m", "catlog", "map", "--target", "path",
+                          stdin=_fields_of_fields(450))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: input nests too deeply to be a structure\n"
+
+    def test_a_shallow_field_of_fields_keeps_its_message(self, capsys, monkeypatch):
+        feed(monkeypatch, _fields_of_fields(2))
+        assert run(capsys, "map", "--target", "path") == (
+            2, "", "error: the parts of a field must be a collection of GoodPath\n")
+
+
 # a bool, float, list or non-string where an int or a str belongs, as JSON,
 # and the same value handed to the Python constructor: the JSON layer hands
 # it on, and map and render refuse it with the constructor's own message

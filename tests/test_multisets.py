@@ -62,7 +62,7 @@ def _node_walk(m, start):
 
 def segments_from(m, label):
     """All forward segments starting at (label, 1), one per end node."""
-    if type(label) is not int or label not in m.f_map:
+    if type(label) is not int or label not in m.f:
         raise ValueError(f"label {label} is not on the cycle")
     nodes = list(_node_walk(m, label))
     return [tuple(nodes[:t]) for t in range(1, len(nodes) + 1)]
@@ -75,7 +75,7 @@ def scope(segment):
 
 def weight(m, segment):
     """Total multiplicity along a segment."""
-    return sum(m.f_map[v][q - 1] for v, q in segment)
+    return sum(m.f[v][q - 1] for v, q in segment)
 
 
 def roots_by_definition(m):
@@ -266,7 +266,7 @@ class TestEnumerate:
 
 def stored(k, cycle, f):
     """A multiset holding exactly these fields, unchecked."""
-    return trusted(CyclicMultiset, k=k, cycle=cycle, f=f, f_map=dict(f))
+    return trusted(CyclicMultiset, k=k, cycle=cycle, f=f)
 
 
 class TestRank:
@@ -287,19 +287,20 @@ class TestRank:
             multiset_unrank(2, 3, -1)
 
     @pytest.mark.parametrize("m", [
-        stored(2, (2, 1), ((1, (1,)), (2, (1,)))),  # the cycle from label 2
-        stored(3, (1, 2), ((1, (1,)), (2, (1,)))),  # vectors of length k-2
-        stored(2, [1, 2], ((1, (1,)), (2, (1,)))),  # a list for the cycle
-        stored(2, (1, 2), ((1, [1]), (2, [1]))),  # lists for the vectors
-        stored(2, (1, 2), [(1, (1,)), (2, (1,))]),  # a list for f
-        stored(2, (1, 3), ((1, (1,)), (3, (1,)))),  # labels other than 1..n
-        stored(2, (1, 2), ((1, (2,)), (2, (1,)))),  # multiplicities summing past n
-        stored(2, (1, 2), ((1, (0,)), (2, (1,)))),  # multiplicities summing below n
-        stored(2, (1, 2), ((1, (-1,)), (2, (3,)))),  # a negative multiplicity
-        stored(2, (True, 2), ((1, (1,)), (2, (1,)))),  # a bool label
-        stored(2.0, (1, 2), ((1, (1,)), (2, (1,)))),  # a float k
-    ], ids=["rotated", "wrong-k", "list-cycle", "list-vectors", "list-f", "labels",
-            "sum-high", "sum-low", "negative", "bool-label", "float-k"])
+        stored(2, (2, 1), {1: (1,), 2: (1,)}),  # the cycle from label 2
+        stored(3, (1, 2), {1: (1,), 2: (1,)}),  # vectors of length k-2
+        stored(2, [1, 2], {1: (1,), 2: (1,)}),  # a list for the cycle
+        stored(2, (1, 2), {1: [1], 2: [1]}),  # lists for the vectors
+        stored(2, (1, 2), [(1, (1,)), (2, (1,))]),  # a list of pairs for f
+        stored(2, (1, 2), {2: (1,), 1: (1,)}),  # f out of label order
+        stored(2, (1, 3), {1: (1,), 3: (1,)}),  # labels other than 1..n
+        stored(2, (1, 2), {1: (2,), 2: (1,)}),  # multiplicities summing past n
+        stored(2, (1, 2), {1: (0,), 2: (1,)}),  # multiplicities summing below n
+        stored(2, (1, 2), {1: (-1,), 2: (3,)}),  # a negative multiplicity
+        stored(2, (True, 2), {1: (1,), 2: (1,)}),  # a bool label
+        stored(2.0, (1, 2), {1: (1,), 2: (1,)}),  # a float k
+    ], ids=["rotated", "wrong-k", "list-cycle", "list-vectors", "list-f", "unsorted-f",
+            "labels", "sum-high", "sum-low", "negative", "bool-label", "float-k"])
     def test_rejects_what_is_not_a_stored_multiset(self, m):
         with pytest.raises(ValueError):
             multiset_rank(m)
@@ -332,7 +333,7 @@ class TestOrnamentEncoding:
                             counts[member.labels[j]][q] += 1
                         else:
                             u += 1
-                    assert {v: tuple(c) for v, c in counts.items()} == dict(m.f)
+                    assert {v: tuple(c) for v, c in counts.items()} == m.f
 
     def test_decode_small(self):
         m = ms(2, (1, 2), {1: (1,), 2: (1,)})
@@ -368,14 +369,14 @@ def cycle_tree_to_multiset_before(c, start_root=None):
     parent_slot = {}
     for r in _rotated(c.cycle, start_root):
         order.append(r)
-        for _, q, v in slot_walk(c.slot_map, r):
+        for _, q, v in slot_walk(c.slots, r):
             if v is not None:
                 order.append(v)
                 parent_slot[v] = q
 
     def chain(v, q):
         length = 0
-        while (v := c.slot_map[v][q]) is not None:
+        while (v := c.slots[v][q]) is not None:
             length += 1
         return length
 
@@ -437,7 +438,7 @@ class TestTreeEncoding:
         m = ms(2, (1, 2), {1: (2,), 2: (0,)})
         c = multiset_to_cycle_tree(m)
         assert c.cycle == (1,)
-        assert c.slot_map[1] == (2, None)
+        assert c.slots[1] == (2, None)
 
     def test_decode_requires_roots(self):
         with pytest.raises(ValueError):
@@ -491,7 +492,7 @@ class TestComposedCorrespondence:
         o = to_ornament(GoodPath(2, "RRUU", (1, 2)))
         c = ornament_to_cycle_tree(o)
         assert c.cycle == (1,)
-        assert c.slot_map[1] == (2, None)
+        assert c.slots[1] == (2, None)
 
     def test_touch_labels_become_cycle(self):
         for n in range(1, 5):

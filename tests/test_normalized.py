@@ -63,14 +63,14 @@ def rebuilt(x):
     if isinstance(x, (MinimalField, RootMinimalForest)):
         return type(x)([rebuilt(part) for part in x.parts])
     if isinstance(x, PlaneTree):
-        return PlaneTree(x.k, x.root, dict(reversed(x.slots)))
+        return PlaneTree(x.k, x.root, dict(reversed(x.slots.items())))
     if isinstance(x, CycleRootedTree):
-        return CycleRootedTree(x.k, list(x.cycle), dict(reversed(x.slots)))
-    return CyclicMultiset(x.k, list(x.cycle), dict(reversed(x.f)))
+        return CycleRootedTree(x.k, list(x.cycle), dict(reversed(x.slots.items())))
+    return CyclicMultiset(x.k, list(x.cycle), dict(reversed(x.f.items())))
 
 
 def stored(x) -> dict:
-    """Every field x stores, the derived ones too, tables as ordered pairs."""
+    """Every field x stores, tables as ordered pairs."""
     return {name: tuple(value.items()) if isinstance(value, dict) else value
             for name, value in vars(x).items()}
 

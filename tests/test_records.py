@@ -9,32 +9,32 @@ from pathlib import Path
 
 import pytest
 
-from catlog import catalan, multisets, paths, series, trees, verify
+from catlog import catalan, multisets, paths, serialize, series, trees, verify
 from catlog._trusted import Record, trusted
 
 P = paths.GoodPath(2, "RU", (1,))
 P_REPR = "GoodPath(k=2, steps='RU', labels=(1,))"
 T = trees.PlaneTree(2, 1, {1: (None, None)})
-T_REPR = "PlaneTree(k=2, root=1, slots=((1, (None, None)),))"
+T_REPR = "PlaneTree(k=2, root=1, slots={1: (None, None)})"
 ROW = catalan.CoeffRow(1, Fraction(1), None, None)
 ROW_REPR = "CoeffRow(n=1, closed_form=Fraction(1, 1), series_value=None, match=None)"
 RESULT = verify.CheckResult("c", 2, 3, True)  # message defaults to ""
 RESULT_REPR = "CheckResult(name='c', k=2, n=3, passed=True, message='')"
 
-# class, constructor arguments, field names, repr, derived attribute
+# class, constructor arguments, field names, repr, table field
 CASES = [
     (paths.GoodPath, (2, "RU", (1,)), ("k", "steps", "labels"), P_REPR, None),
     (paths.MinimalField, (frozenset({P}),), ("parts",),
      f"MinimalField(parts=frozenset({{{P_REPR}}}))", None),
     (paths.Ornament, (P,), ("rep",), f"Ornament(rep={P_REPR})", None),
     (trees._SlotTable, (), (), "_SlotTable()", None),
-    (trees.PlaneTree, (2, 1, {1: (None, None)}), ("k", "root", "slots"), T_REPR, "slot_map"),
+    (trees.PlaneTree, (2, 1, {1: (None, None)}), ("k", "root", "slots"), T_REPR, "slots"),
     (trees.RootMinimalForest, (frozenset({T}),), ("parts",),
      f"RootMinimalForest(parts=frozenset({{{T_REPR}}}))", None),
     (trees.CycleRootedTree, (2, (1,), {1: (None, None)}), ("k", "cycle", "slots"),
-     "CycleRootedTree(k=2, cycle=(1,), slots=((1, (None, None)),))", "slot_map"),
+     "CycleRootedTree(k=2, cycle=(1,), slots={1: (None, None)})", "slots"),
     (multisets.CyclicMultiset, (2, (1,), {1: (1,)}), ("k", "cycle", "f"),
-     "CyclicMultiset(k=2, cycle=(1,), f=((1, (1,)),))", "f_map"),
+     "CyclicMultiset(k=2, cycle=(1,), f={1: (1,)})", "f"),
     (series.Series, ((1, 2),), ("coeffs",),
      "Series(coeffs=(Fraction(1, 1), Fraction(2, 1)))", None),
     (catalan.CoeffRow, (1, Fraction(1), None, None),
@@ -48,13 +48,15 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("cls, args, names, shown, derived", CASES,
+@pytest.mark.parametrize("cls, args, names, shown, table", CASES,
                          ids=[c[0].__name__ for c in CASES])
-def test_record_contract(cls, args, names, shown, derived):
+def test_record_contract(cls, args, names, shown, table):
     x, y = cls(*args), cls(*args)
     values = tuple(getattr(x, f) for f in names)
     assert x == y and x is not y and not x != y
-    assert hash(x) == hash(y) == hash(values)
+    # a table field is hashed as the tuple of its items
+    hashed = tuple(tuple(v.items()) if f == table else v for f, v in zip(names, values))
+    assert hash(x) == hash(y) == hash(hashed)
     assert repr(x) == shown
     assert x != values and values != x
 
@@ -80,10 +82,32 @@ def test_record_contract(cls, args, names, shown, derived):
         with pytest.raises(TypeError):  # a repeated argument
             cls(*args, **{names[0]: args[0]})
         assert cls(**dict(zip(names, args))) == x
+    assert set(vars(x)) == set(names)  # a record stores its fields and nothing else
 
-    if derived:  # the derived table stays out of eq, hash and repr
-        z = trusted(cls, **{**vars(x), derived: {}})
-        assert z == x and hash(z) == hash(x) and repr(z) == shown
+
+# class, the fields before its table, the table's name, two rows in order
+TABLES = [
+    (trees.PlaneTree, (2, 1), "slots", {1: (2, None), 2: (None, None)}),
+    (trees.CycleRootedTree, (2, (1,)), "slots", {1: (2, None), 2: (None, None)}),
+    (multisets.CyclicMultiset, (2, (1, 2)), "f", {1: (2,), 2: (0,)}),
+]
+
+
+@pytest.mark.parametrize("cls, head, table, rows", TABLES, ids=[c[0].__name__ for c in TABLES])
+def test_a_table_is_stored_sorted_and_compared_in_order(cls, head, table, rows):
+    """Rows given in another order, as a dict or as pairs, build an equal
+    record with the same hash and bytes; the same rows stored unsorted
+    through `trusted` make an unequal record that verify refuses."""
+    x = cls(*head, rows)
+    backwards = dict(reversed(rows.items()))
+    for given in (backwards, list(backwards.items())):
+        y = cls(*head, given)
+        assert y == x and hash(y) == hash(x) and serialize.dumps(y) == serialize.dumps(x)
+        assert list(getattr(y, table)) == sorted(rows)
+    assert verify._valid(x)
+    unsorted = trusted(cls, **{**vars(x), table: backwards})
+    assert unsorted != x and hash(unsorted) != hash(x)
+    assert not verify._valid(unsorted)
 
 
 def test_importing_catlog_leaves_dataclasses_and_inspect_out():

@@ -114,7 +114,7 @@ class TestRightmostBranch:
 class TestSlotWalk:
     def test_depth_first_leftmost_first(self):
         t = tree(2, 1, {1: (2, 3), 2: (None, 4), 3: leaf_row(2), 4: leaf_row(2)})
-        assert list(slot_walk(t.slot_map, 1)) == [
+        assert list(slot_walk(t.slots, 1)) == [
             (1, 0, 2), (2, 0, None), (2, 1, 4), (3, 0, None), (3, 1, None),
             (1, 1, 3), (2, 0, None), (2, 1, None),
         ]
@@ -124,7 +124,7 @@ class TestSlotWalk:
         table = {v: (v + 1, None) for v in range(1, n)}
         table[n] = leaf_row(2)
         t = tree(2, 1, table)
-        depths = [d for d, q, c in slot_walk(t.slot_map, 1) if c is not None]
+        depths = [d for d, q, c in slot_walk(t.slots, 1) if c is not None]
         assert depths == list(range(1, n))
 
 
@@ -149,7 +149,7 @@ class TestEnumerateTrees:
     def test_two_vertices_binary(self):
         got = enumerate_trees(2, {1, 2})
         assert len(got) == 4
-        shapes = {(t.root, t.slot_map[t.root]) for t in got}
+        shapes = {(t.root, t.slots[t.root]) for t in got}
         assert shapes == {(1, (2, None)), (1, (None, 2)), (2, (1, None)), (2, (None, 1))}
 
     def test_two_vertices_ternary(self):
@@ -246,7 +246,7 @@ class TestCycleBijection:
         t = tree(2, 1, {1: (None, 3), 3: (2, None), 2: leaf_row(2)})
         c = to_cycle_rooted(t)
         assert c.cycle == (1, 3)
-        assert c.slot_map[3] == (2, None)
+        assert c.slots[3] == (2, None)
         assert to_root_minimal(c) == t
 
     def test_requires_root_minimal(self):
@@ -275,7 +275,7 @@ class TestEnumerateCycleRooted:
 
     def test_three_structures(self):
         got = enumerate_cycle_rooted(2, 2)
-        as_pairs = {(c.cycle, c.slot_map[c.cycle[0]][0]) for c in got}
+        as_pairs = {(c.cycle, c.slots[c.cycle[0]][0]) for c in got}
         assert as_pairs == {((1,), 2), ((2,), 1), ((1, 2), None)}
 
     def test_ternary(self):
@@ -296,7 +296,7 @@ class TestEnumerateCycleRooted:
 def _rows_key(slots):
     """The rows in vertex order, a vacancy read as -1 so that it sorts
     before any occupant."""
-    return tuple((v, tuple(-1 if c is None else c for c in row)) for v, row in slots)
+    return tuple((v, tuple(-1 if c is None else c for c in row)) for v, row in slots.items())
 
 
 class TestPublicOrder:
