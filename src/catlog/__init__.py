@@ -4,7 +4,7 @@ plane k-ary trees, cyclically ordered multisets, and the bijections and
 counting identities that tie them together.
 """
 
-from .arith import Rational, binomial, factorial, format_rational, harmonic, multichoose, parse_rational
+from .arith import binomial, factorial, format_rational, harmonic, multichoose
 from .catalan import (
     CoeffRow,
     CoeffTable,

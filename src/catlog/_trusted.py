@@ -1,4 +1,4 @@
-"""The frozen record base and the trusted constructor of catlog's structures."""
+"""The frozen record base and the trusted constructor of catlog's structures and series."""
 
 # the methods each record class compiles once, reading its fields directly
 _METHODS = """\
@@ -49,18 +49,19 @@ class Record:
 
 
 def trusted(cls, **fields):
-    """An instance of the frozen structure record `cls` holding `fields`
-    as given, built without running its `__post_init__`.
+    """An instance of the frozen record `cls`, a structure or a `Series`,
+    holding `fields` as given, built without running its `__post_init__`.
 
     Precondition: `fields` names every field of `cls` in declaration
     order, and each value is exactly what the public constructor would
-    store for the same valid structure: tuples, not lists; a slot table
+    store for the same valid value: tuples, not lists; a slot table
     or multiplicity map a dict by increasing vertex, each row a tuple;
     the cycle starting at its minimal label; the parts of a field or
-    forest as a frozenset.
+    forest as a frozenset; a series' coefficients as Fractions.
     Nothing is checked here: the enumerators check their arguments on
     entry, they and the bijections build only valid structures, and the
-    verify suites run the constructors' checks on those in place.
+    verify suites run the constructors' checks on those in place;
+    `Series` arithmetic builds its results from Fractions it computed.
     """
     obj = object.__new__(cls)
     obj.__dict__.update(fields)  # the instance dict that __init__ would fill

@@ -3,7 +3,7 @@
 Python integers are arbitrary precision and fractions.Fraction always
 stores values in lowest terms with a positive denominator, so both meet
 the exactness requirements as-is. This module adds the elementary
-counting functions everything else consumes, plus the string forms used
+counting functions everything else consumes, plus the string form used
 for rationals in JSON and CSV output.
 """
 
@@ -13,8 +13,6 @@ import math
 from fractions import Fraction
 
 from .errors import check_ints
-
-Rational = Fraction
 
 
 def factorial(n: int) -> int:
@@ -55,7 +53,3 @@ def format_rational(q) -> str:
     q = Fraction(q)
     return f"{q.numerator}/{q.denominator}"
 
-
-def parse_rational(s: str) -> Fraction:
-    """Inverse of format_rational; bare integer strings are accepted too."""
-    return Fraction(s.strip())

@@ -17,50 +17,43 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ._trusted import Record
-from .arith import format_rational, parse_rational
+from ._trusted import Record, trusted
 from .errors import check_ints
 
 
 def _as_fraction(c) -> Fraction:
     if isinstance(c, float):
         raise TypeError("float coefficients are not exact; use Fraction or int")
+    if not isinstance(c, (int, Fraction)):
+        raise ValueError("a coefficient must be an int or a Fraction")
     return Fraction(c)
+
+
+def _series(coeffs: tuple[Fraction, ...]) -> "Series":
+    """The series of `coeffs`, a tuple of Fractions, built by `trusted`:
+    the constructor checks only what callers hand in."""
+    return trusted(Series, coeffs=coeffs)
 
 
 class Series(Record):
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        try:
-            empty = len(self.coeffs) < 1
-        except TypeError:  # no collection of coefficients
-            empty = True
-        if empty:
-            raise ValueError("a series needs at least its constant coefficient")
-        object.__setattr__(self, "coeffs", tuple(_as_fraction(c) for c in self.coeffs))
+        if not isinstance(self.coeffs, (tuple, list)) or not self.coeffs:
+            raise ValueError("coefficients must be a nonempty tuple or list, constant term first")
+        object.__setattr__(self, "coeffs", tuple(map(_as_fraction, self.coeffs)))
 
     # -- construction helpers ------------------------------------------------
 
-    @classmethod
-    def constant(cls, value, order: int) -> "Series":
+    @staticmethod
+    def one(order: int) -> "Series":
         check_ints("order must be >= 0", (order, 0))
-        return cls((_as_fraction(value),) + (Fraction(0),) * order)
+        return _series((Fraction(1),) + (Fraction(0),) * order)
 
-    @classmethod
-    def zero(cls, order: int) -> "Series":
-        return cls.constant(0, order)
-
-    @classmethod
-    def one(cls, order: int) -> "Series":
-        return cls.constant(1, order)
-
-    @classmethod
-    def x(cls, order: int) -> "Series":
+    @staticmethod
+    def x(order: int) -> "Series":
         check_ints("order must be >= 0", (order, 0))
-        if order < 1:
-            return cls.zero(order)
-        return cls((Fraction(0), Fraction(1)) + (Fraction(0),) * (order - 1))
+        return _series(((Fraction(0), Fraction(1)) + (Fraction(0),) * order)[:order + 1])
 
     # -- basics --------------------------------------------------------------
 
@@ -89,16 +82,16 @@ class Series(Record):
         if not isinstance(other, Series):
             return NotImplemented
         self._match(other)
-        return Series(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return _series(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "Series") -> "Series":
         if not isinstance(other, Series):
             return NotImplemented
         self._match(other)
-        return Series(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return _series(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "Series":
-        return Series(tuple(-a for a in self.coeffs))
+        return _series(tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, Series):
@@ -112,10 +105,10 @@ class Series(Record):
                     b = other.coeffs[j]
                     if b != 0:
                         out[i + j] += a * b
-            return Series(tuple(out))
+            return _series(tuple(out))
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            return Series(tuple(a * c for a in self.coeffs))
+            c = Fraction(other)
+            return _series(tuple(a * c for a in self.coeffs))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -148,7 +141,7 @@ class Series(Record):
         out = [Fraction(0)] * (n + 1)
         for m in range(1, n + 1):
             out[m] = deriv[m - 1] / m
-        return Series(tuple(out))
+        return _series(tuple(out))
 
     def exp(self) -> "Series":
         """Series E with E(0) = 1 and log(E) = self; needs constant term 0."""
@@ -162,27 +155,7 @@ class Series(Record):
             for j in range(m + 1):
                 s += (m + 1 - j) * c[m + 1 - j] * out[j]
             out[m + 1] = s / (m + 1)
-        return Series(tuple(out))
-
-    # -- presentation ----------------------------------------------------------
-
-    def __str__(self) -> str:
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if i == 0:
-                terms.append(str(c))
-            elif i == 1:
-                terms.append(f"{c}*x")
-            else:
-                terms.append(f"{c}*x^{i}")
-        return " + ".join(terms) + f" + O(x^{self.order + 1})"
-
-    def to_json(self) -> list[str]:
-        return [format_rational(c) for c in self.coeffs]
-
-    @classmethod
-    def from_json(cls, items) -> "Series":
-        return cls(tuple(parse_rational(s) for s in items))
+        return _series(tuple(out))
 
 
 def catalan_series(k: int, order: int) -> Series:

@@ -35,8 +35,6 @@ NUMERIC = [
     (catalan.count_paths, (2.0, 3), "count_paths needs k >= 2 and n >= 1"),
     (catalan.count_multisets, (2, "3"), "count_multisets needs k >= 2 and n >= 1"),
     (catalan.coeff_table, (2, 3.0), "coeff_table needs k >= 1, max_n >= 1, power >= 1"),
-    (Series, (5,), "a series needs at least its constant coefficient"),
-    (Series.constant, (1, 2.0), "order must be >= 0"),
     (Series.x, (2.0,), "order must be >= 0"),
     (Series.one(3).__pow__, (True,), "only nonnegative integer powers are defined"),
     (Series.one(3).__getitem__, (True,), "a coefficient index must be an integer"),
@@ -74,6 +72,11 @@ CONSTRUCTORS = [
     (RootMinimalForest, ([1],), "the parts of a forest must be a collection of PlaneTree"),
     (RootMinimalForest, (5,), "the parts of a forest must be a collection of PlaneTree"),
     (Ornament, (5,), "an ornament representative must be a GoodPath"),
+    (Series, (5,), "coefficients must be a nonempty tuple or list, constant term first"),
+    (Series, ("12",), "coefficients must be a nonempty tuple or list, constant term first"),
+    (Series, ({1: 2},), "coefficients must be a nonempty tuple or list, constant term first"),
+    (Series, ([None],), "a coefficient must be an int or a Fraction"),
+    (Series, ([[1]],), "a coefficient must be an int or a Fraction"),
 ]
 
 
@@ -99,7 +102,7 @@ def test_valid_calls_keep_their_answers():
     assert arith.binomial(4, -1) == arith.binomial(4, 5) == 0
     assert catalan.gen_catalan(1, 3) == 1
     assert catalan.returns_count(2, 3, 3) == 1
-    assert Series.x(0) == Series.zero(0)
+    assert Series.x(0) == Series((0,))
     assert Series.one(2) ** 0 == Series.one(2)
     assert series.catalan_series(2, 3)[3] == 5
     assert len(multisets.enumerate_multisets(2, 2, max_count=3)) == 3

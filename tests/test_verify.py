@@ -15,6 +15,7 @@ from catlog import catalan, multisets, paths, serialize, trees, verify
 from catlog._trusted import trusted
 from catlog.cli import main
 from catlog.errors import DEFAULT_MAX_ENUMERATION
+from catlog.series import Series
 from catlog.verify import run_suite
 
 STRUCTURE_SUITES = ("bijections", "statistics")
@@ -144,17 +145,20 @@ STRUCTURES = (paths.GoodPath, paths.MinimalField, paths.Ornament, trees.PlaneTre
 
 def test_all_runs_no_constructor(monkeypatch):
     """Every image is checked in place: no structure is built, or rebuilt,
-    through its public constructor."""
+    through its public constructor, and series arithmetic builds its
+    results without the Series constructor."""
     verify._grid_structures.cache_clear()
     built = Counter()
-    for cls in STRUCTURES:
+    for cls in (*STRUCTURES, Series):
         def counted(self, _real=cls.__post_init__, _name=cls.__name__):
             built[_name] += 1
             _real(self)
         monkeypatch.setattr(cls, "__post_init__", counted)
     assert paths.GoodPath(2, "RU", (1,)) and built == {"GoodPath": 1}  # the counter counts
+    assert Series((1,)) and built == {"GoodPath": 1, "Series": 1}
     built.clear()
     assert run_suite("all", [2], 4).overall
+    assert all(row.match for row in catalan.coeff_table(2, 10, 2, check=True).rows)
     assert not built
 
 
