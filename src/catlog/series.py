@@ -6,10 +6,10 @@ rather than a silent re-truncation, so that a wrong order in a
 cross-check fails loudly instead of hiding a bug.
 
 The series here exist to be the independent side of coefficient checks:
-the generating function of generalized Catalan numbers is produced by
-fixed-point iteration on its defining equation G = 1 + x*G^k, and log,
-exp and integer powers are computed coefficient by coefficient, never
-from closed forms.
+the generating function of generalized Catalan numbers is grown one order
+at a time from its defining equation G = 1 + x*G^k, and log, exp and
+integer powers are computed coefficient by coefficient, never from
+closed forms.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .errors import check_ints
 def _as_fraction(c) -> Fraction:
     if isinstance(c, float):
         raise TypeError("float coefficients are not exact; use Fraction or int")
-    if not isinstance(c, (int, Fraction)):
+    if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
         raise ValueError("a coefficient must be an int or a Fraction")
     return Fraction(c)
 
@@ -107,7 +107,7 @@ class Series(Record):
                         out[i + j] += a * b
             return _series(tuple(out))
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+            c = _as_fraction(other)  # refuses a bool
             return _series(tuple(a * c for a in self.coeffs))
         return NotImplemented
 
@@ -162,14 +162,14 @@ def catalan_series(k: int, order: int) -> Series:
     """Generating function of generalized Catalan numbers, truncated.
 
     The unique series G with constant term 1 satisfying G = 1 + x*G^k.
-    Fixed-point iteration G <- 1 + x*G^k gains at least one exact
-    coefficient per round, so order+1 rounds settle every coefficient.
+    If g holds G exactly to order m-1, padded with a zero x^m coefficient,
+    then 1 + x*g^k holds it exactly to order m, since its x^m coefficient
+    reads only g_0 .. g_(m-1); so round m multiplies at order m only.
     """
     check_ints("catalan_series needs k >= 1", (k, 1))
     check_ints("order must be >= 0", (order, 0))
-    one = Series.one(order)
-    x = Series.x(order)
-    g = one
-    for _ in range(order + 1):
-        g = one + x * g**k
+    g = Series.one(0)
+    for m in range(1, order + 1):
+        padded = _series(g.coeffs + (Fraction(0),))
+        g = Series.one(m) + Series.x(m) * padded**k
     return g

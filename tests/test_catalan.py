@@ -315,6 +315,15 @@ class TestCoeffTable:
         assert all(r.match for r in table.rows)
         assert [str(r.closed_form) for r in table.rows[:3]] == ["1", "3/2", "10/3"]
 
+    def test_deep_checked_tables_match(self):
+        # every row of two deep tables against the series grown from
+        # G = 1 + x*G^k; `catlog coeff --k 3 --max-n 60 --power 3 --check`
+        # is pinned byte for byte in tests/test_cli.py
+        for k, max_n, power in ((2, 100, 1), (3, 60, 3)):
+            table = coeff_table(k, max_n, power, check=True)
+            assert [r.n for r in table.rows] == list(range(1, max_n + 1))
+            assert all(r.match for r in table.rows), (k, max_n, power)
+
     def test_power_two_valuation_row(self):
         table = coeff_table(2, 1, power=2, check=True)
         assert table.rows[0].closed_form == 0

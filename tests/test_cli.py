@@ -47,6 +47,11 @@ def run_python(*args, stdin=None, **extra_env):
                           capture_output=True, text=True, timeout=60)
 
 
+# sha256 of the stdout of `catlog coeff --k 3 --max-n 60 --power 3 --check
+# --format json`; a change that moves these bytes must say why
+PINNED_COEFF_3_60_3 = "8212e746382aa4b77830bd9ea0e9b35e79f5d8bcb24c348dc6adc2b6e3ed5ca3"
+
+
 class TestCoeff:
     def test_table_with_check(self, capsys):
         code, out, _ = run(capsys, "coeff", "--k", "2", "--max-n", "3", "--power", "1", "--check")
@@ -83,6 +88,13 @@ class TestCoeff:
     def test_bad_flag_value(self, capsys):
         code, _, _ = run(capsys, "coeff", "--k", "2", "--max-n", "0")
         assert code == 2
+
+    def test_deep_checked_json_bytes(self, capsys):
+        code, out, _ = run(capsys, "coeff", "--k", "3", "--max-n", "60", "--power", "3",
+                           "--check", "--format", "json")
+        assert code == 0
+        assert all(row["match"] for row in json.loads(out)["rows"])
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_COEFF_3_60_3
 
     @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
     def test_mismatch_exits_1(self, capsys, monkeypatch, fmt):

@@ -151,6 +151,29 @@ class TestCatalanSeries:
     def test_fixed_point_random(self, k, order):
         assert catalan_series(k, order) == fixed_point_series(k, order)
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 7), st.integers(0, 40), st.integers(0, 40))
+    def test_lower_order_is_a_prefix(self, k, m, n):
+        m, n = min(m, n), max(m, n)
+        assert catalan_series(k, m).coeffs == catalan_series(k, n).coeffs[:m + 1]
+
+    def test_each_round_multiplies_at_its_own_order(self, monkeypatch):
+        # machine-independent work: the output rows of every series-by-series
+        # product. Round m of the k = 2 growth makes three products at order
+        # m (two in g**2, one by x); 41 rounds at the full order make 5,043.
+        rows = []
+        product = Series.__mul__
+
+        def counted(self, other):
+            if isinstance(other, Series):
+                rows.append(self.order + 1)
+            return product(self, other)
+
+        monkeypatch.setattr(Series, "__mul__", counted)
+        g = catalan_series(2, 40)
+        assert g == fixed_point_series(2, 40)
+        assert sum(rows) <= 3 * sum(m + 1 for m in range(1, 41))
+
     def test_order_zero(self):
         for k in range(1, 6):
             assert catalan_series(k, 0) == Series.one(0)

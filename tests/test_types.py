@@ -3,6 +3,7 @@ int (a float, a bool, a str) or a container of the wrong shape is refused
 with a ValueError naming the broken invariant, never a TypeError or an
 AttributeError from deep inside, and never an answer."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,8 @@ NUMERIC = [
     (Series.one(3).__pow__, (True,), "only nonnegative integer powers are defined"),
     (Series.one(3).__getitem__, (True,), "a coefficient index must be an integer"),
     (Series.one(3).__getitem__, (1.0,), "a coefficient index must be an integer"),
+    (operator.mul, (Series.one(1), True), "a coefficient must be an int or a Fraction"),
+    (operator.mul, (True, Series.one(1)), "a coefficient must be an int or a Fraction"),
     (series.catalan_series, (2.0, 3), "catalan_series needs k >= 1"),
     (series.catalan_series, (2, 3.0), "order must be >= 0"),
     (multisets.multiset_unrank, (2.0, 2, 1), "multiset_unrank needs k >= 2 and n >= 1"),
@@ -77,6 +80,7 @@ CONSTRUCTORS = [
     (Series, ({1: 2},), "coefficients must be a nonempty tuple or list, constant term first"),
     (Series, ([None],), "a coefficient must be an int or a Fraction"),
     (Series, ([[1]],), "a coefficient must be an int or a Fraction"),
+    (Series, ((True, 2),), "a coefficient must be an int or a Fraction"),
 ]
 
 
