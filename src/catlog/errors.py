@@ -42,19 +42,31 @@ def check_pairs(items, message: str) -> list:
         raise ValueError(message) from None
 
 
-def check_parts(parts, cls, message: str) -> frozenset:
-    """The parts of a field or forest as a frozenset, once none is listed
-    twice and each is a `cls`; anything else is refused with `message`."""
-    try:
-        unique = frozenset(parts)
-        repeats = len(unique) != len(parts)
-    except TypeError:  # not a collection, or a part that cannot be hashed
-        raise ValueError(message) from None
-    if repeats:
-        raise ValueError("parts lists one part twice")
-    if not all(isinstance(p, cls) for p in unique):
-        raise ValueError(message)
-    return unique
+def check_parts(parts, stored, cls, own, minimal, members: str, messages) -> frozenset:
+    """The parts of a field or forest, checked in one loop: as a frozenset, or
+    with `stored` as stored, a set of parts of type `cls` each passing `own`.
+    `messages` name, in the order raised in any set order: a part no `cls`,
+    no part, mixed k, a part not `minimal`, two parts sharing `members` entries."""
+    if not stored:
+        try:
+            parts, given = frozenset(parts), len(parts)
+        except TypeError:  # not a collection, or a part that cannot be hashed
+            raise ValueError(messages[0]) from None
+        if len(parts) != given:
+            raise ValueError("parts lists one part twice")
+    elif not isinstance(parts, (set, frozenset)):
+        raise ValueError(messages[0])
+    ks, low, union = set(), True, []
+    for p in parts:
+        if not (type(p) is cls and own(p) if stored else isinstance(p, cls)):
+            raise ValueError(messages[0])
+        ks.add(p.k)
+        low = low and minimal(p)
+        union += getattr(p, members)
+    broken = (not parts, len(ks) != 1, not low, len(union) != len(set(union)))
+    if any(broken):
+        raise ValueError(messages[1 + broken.index(True)])
+    return parts
 
 
 def check_stored(table, width: int, least=None) -> dict:

@@ -61,18 +61,18 @@ def _check_path(k, steps, labels) -> tuple[int, ...]:
     return labels
 
 
-def _check_field(parts) -> None:
-    """The checks of a minimal field over the set of its GoodPath parts."""
-    if not parts:
-        raise ValueError("a field holds at least one part")
-    if len({p.k for p in parts}) != 1:
-        raise ValueError("all parts of a field must share the same k")
-    # one invariant at a time over every part, so that the verdict is
-    # the same in any set order
-    if not all(map(is_label_minimal, parts)):
-        raise ValueError("every part of a field must be label-minimal")
-    if sum(p.n for p in parts) != len(set().union(*(p.labels for p in parts))):
-        raise ValueError("label sets of field parts must be disjoint")
+def _check_field(parts, stored=False) -> frozenset:
+    """The checks of a minimal field over its GoodPath parts, in one loop
+    (check_parts); with `stored`, each part's `_check_path` runs in that
+    loop too, and must give its labels back as stored."""
+    return check_parts(parts, stored, GoodPath,
+                       lambda p: _check_path(p.k, p.steps, p.labels) == p.labels,
+                       is_label_minimal, "labels", (
+                           "the parts of a field must be a collection of GoodPath",
+                           "a field holds at least one part",
+                           "all parts of a field must share the same k",
+                           "every part of a field must be label-minimal",
+                           "label sets of field parts must be disjoint"))
 
 
 class GoodPath(Record):
@@ -94,10 +94,7 @@ class MinimalField(Record):
     parts: frozenset[GoodPath]
 
     def __post_init__(self):
-        parts = check_parts(self.parts, GoodPath,
-                            "the parts of a field must be a collection of GoodPath")
-        object.__setattr__(self, "parts", parts)
-        _check_field(parts)
+        object.__setattr__(self, "parts", _check_field(self.parts))
 
     @property
     def k(self) -> int:
@@ -144,8 +141,16 @@ def diagonal_touches(p: GoodPath) -> list[tuple[int, int]]:
 
 
 def is_label_minimal(p: GoodPath) -> bool:
-    """True when the label at height 0 is the smallest among touch labels."""
-    return p.labels[0] == min(lab for _, lab in diagonal_touches(p))
+    """True when no touch label undercuts the one at height 0; stops at the first that does."""
+    r = u = 0
+    for ch in p.steps:
+        if ch == "R":
+            if u == (p.k - 1) * r and p.labels[r] < p.labels[0]:
+                return False
+            r += 1
+        else:
+            u += 1
+    return True
 
 
 def _good_words(k: int, n: int):
@@ -214,17 +219,17 @@ def _cut(p: GoodPath, height: int) -> tuple[int, int]:
     return j + height, j
 
 
-def decompose(p: GoodPath) -> MinimalField:
+def decompose(p: GoodPath, touches=None) -> MinimalField:
     """Split a path into its field of label-minimal pieces.
 
-    Cut at every diagonal touch whose label undercuts all touch labels
-    below it (the left-to-right minima, read bottom up). Each piece is
-    label-minimal, the origin labels of the pieces come out strictly
-    decreasing, and their label sets partition the input's.
+    Cut at every diagonal touch, `touches` if given, whose label undercuts
+    all touch labels below it (the left-to-right minima, read bottom up).
+    Each piece is label-minimal, the origin labels of the pieces come out
+    strictly decreasing, and their label sets partition the input's.
     """
     cuts = []
     low = None
-    for height, lab in diagonal_touches(p):
+    for height, lab in touches or diagonal_touches(p):
         if low is None or lab < low:
             cuts.append(_cut(p, height))
             low = lab
@@ -257,9 +262,9 @@ def _rotate_to(p: GoodPath, height: int) -> GoodPath:
                    labels=p.labels[j:] + p.labels[:j])
 
 
-def rotations(p: GoodPath) -> list[GoodPath]:
-    """All members of the rotation class of p, one per diagonal touch."""
-    return [_rotate_to(p, height) for height, _ in diagonal_touches(p)]
+def rotations(p: GoodPath, touches=None) -> list[GoodPath]:
+    """All members of the rotation class of p, one per diagonal touch, `touches` if given."""
+    return [_rotate_to(p, height) for height, _ in touches or diagonal_touches(p)]
 
 
 def to_ornament(p: GoodPath) -> Ornament:

@@ -115,8 +115,8 @@ class Series(Record):
 
     def __pow__(self, a: int) -> "Series":
         check_ints("only nonnegative integer powers are defined", (a, 0))
-        result = Series.one(self.order)
-        for _ in range(a):
+        result = self if a else Series.one(self.order)  # then a - 1 products
+        for _ in range(a - 1):
             result = result * self
         return result
 

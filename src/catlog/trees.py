@@ -123,18 +123,18 @@ def _check_tree(k, root, slots, stored=False) -> Table:
     return _slot_table(k, (root,), slots, stored)
 
 
-def _check_forest(parts) -> None:
-    """The checks of a root-minimal forest over the set of its PlaneTree parts."""
-    if not parts:
-        raise ValueError("a forest holds at least one tree")
-    if len({t.k for t in parts}) != 1:
-        raise ValueError("all trees of a forest must share the same k")
-    # one invariant at a time over every part, so that the verdict is
-    # the same in any set order
-    if not all(map(is_root_minimal, parts)):
-        raise ValueError("every tree of the forest must be root-minimal")
-    if sum(t.n for t in parts) != len(set().union(*(t.slots for t in parts))):
-        raise ValueError("vertex sets of forest trees must be disjoint")
+def _check_forest(parts, stored=False) -> frozenset:
+    """The checks of a root-minimal forest over its PlaneTree parts, in one
+    loop (check_parts); with `stored`, each part's `_check_tree(..., True)`
+    on its own table in that loop too: no part names another part's vertex."""
+    return check_parts(parts, stored, PlaneTree,
+                       lambda t: _check_tree(t.k, t.root, t.slots, True),
+                       is_root_minimal, "slots", (
+                           "the parts of a forest must be a collection of PlaneTree",
+                           "a forest holds at least one tree",
+                           "all trees of a forest must share the same k",
+                           "every tree of the forest must be root-minimal",
+                           "vertex sets of forest trees must be disjoint"))
 
 
 def _check_cycle_tree(k, cycle, slots, stored=False):
@@ -173,10 +173,7 @@ class RootMinimalForest(Record):
     parts: frozenset[PlaneTree]
 
     def __post_init__(self):
-        parts = check_parts(self.parts, PlaneTree,
-                            "the parts of a forest must be a collection of PlaneTree")
-        object.__setattr__(self, "parts", parts)
-        _check_forest(parts)
+        object.__setattr__(self, "parts", _check_forest(self.parts))
 
     @property
     def k(self) -> int:
@@ -212,7 +209,12 @@ def rightmost_branch(t: PlaneTree) -> list[int]:
 
 
 def is_root_minimal(t: PlaneTree) -> bool:
-    return t.root == min(rightmost_branch(t))
+    """True when no rightmost-branch vertex undercuts the root; stops at the first that does."""
+    v = t.root
+    while (v := t.slots[v][t.k - 1]) is not None:
+        if v < t.root:
+            return False
+    return True
 
 
 def _slot_search(k: int, labels: tuple[int, ...], roots, hold_rightmost: bool):
@@ -279,13 +281,13 @@ def enumerate_trees(
     return list(_trees(k, labels, max_count))
 
 
-def tree_to_forest(t: PlaneTree) -> RootMinimalForest:
-    """Cut the rightmost branch wherever the next vertex undercuts the root
-    of the piece being built; every piece comes out root-minimal. A
-    root-minimal tree is cut nowhere: its forest holds t itself."""
+def tree_to_forest(t: PlaneTree, branch=None) -> RootMinimalForest:
+    """Cut the rightmost branch, `branch` if given, wherever the next vertex
+    undercuts the root of the piece being built; every piece comes out
+    root-minimal. A root-minimal tree is cut nowhere: its forest holds t itself."""
     roots = [t.root]
     cuts = {}
-    branch = rightmost_branch(t)
+    branch = branch or rightmost_branch(t)
     for cur, nxt in zip(branch, branch[1:]):
         if nxt < roots[-1]:
             cuts[cur] = None
@@ -317,12 +319,12 @@ def forest_to_tree(f: RootMinimalForest) -> PlaneTree:
     return trusted(PlaneTree, k=f.k, root=parts[0].root, slots=_relink(f.k, rows, links))
 
 
-def to_cycle_rooted(t: PlaneTree) -> CycleRootedTree:
-    """Bend the rightmost branch of a root-minimal tree into the root cycle;
-    branch order becomes clockwise order."""
-    if not is_root_minimal(t):
+def to_cycle_rooted(t: PlaneTree, branch=None) -> CycleRootedTree:
+    """Bend the rightmost branch of a root-minimal tree, `branch` if given,
+    into the root cycle; branch order becomes clockwise order."""
+    branch = tuple(branch or rightmost_branch(t))
+    if min(branch) != t.root:
         raise ValueError("only a root-minimal tree bends into a cycle")
-    branch = tuple(rightmost_branch(t))
     table = _relink(t.k, t.slots, dict.fromkeys(branch))
     return trusted(CycleRootedTree, k=t.k, cycle=branch, slots=table)
 

@@ -148,24 +148,14 @@ def _check_all(name, k, n, bad) -> CheckResult:
     return _check(name, k, n, False, serialize.dumps(bad))
 
 
-def _parts_ok(parts, cls, check) -> bool:
-    """The parts of a field or forest are stored as a set of valid `cls`
-    that pass `check`, the constructor's checks over them."""
-    if not (isinstance(parts, (set, frozenset))
-            and all(isinstance(p, cls) and _valid(p) for p in parts)):
-        return False
-    check(parts)
-    return True
-
-
 # each structure verify checks, or whose parts it checks: its constructor's
 # checks run on its stored fields, and a stored cycle or labels must come
 # back as they are
 _IN_PLACE = {
     paths.GoodPath: lambda p: paths._check_path(p.k, p.steps, p.labels) == p.labels,
-    paths.MinimalField: lambda f: _parts_ok(f.parts, paths.GoodPath, paths._check_field),
+    paths.MinimalField: lambda f: bool(paths._check_field(f.parts, True)),
     trees.PlaneTree: lambda t: bool(trees._check_tree(t.k, t.root, t.slots, True)),
-    trees.RootMinimalForest: lambda f: _parts_ok(f.parts, trees.PlaneTree, trees._check_forest),
+    trees.RootMinimalForest: lambda f: bool(trees._check_forest(f.parts, True)),
     trees.CycleRootedTree: lambda c: trees._check_cycle_tree(
         c.k, c.cycle, c.slots, True)[0] == c.cycle,
     multisets.CyclicMultiset: lambda m: multisets._check_multiset(
@@ -174,8 +164,8 @@ _IN_PLACE = {
 
 
 def _valid(x) -> bool:
-    """x is stored as its public constructor would store it: the
-    constructor's checks run in place on x's stored fields and parts.
+    """x is stored as its public constructor would store it: the constructor's
+    checks run in place on x's stored fields, a field's or forest's parts in one loop.
 
     The enumerators and bijections build through the trusted constructor.
     An image is checked this way in the first check that reads it, unless
@@ -225,7 +215,9 @@ def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResu
     time: the multisets (once per point, in _grid_structures), the paths,
     the plane trees, the cycle-rooted trees, the ornaments, and the fields
     of each part count. Each structure's bijection images are computed as
-    it is produced, read by every asked check, and dropped. A pass keeps
+    it is produced, read by every asked check, and dropped. Touches and
+    rightmost branches are walked once per structure, and a forest's parts
+    again only if it fails its in-place check. A pass keeps
     counts, distributions, the first counterexample of each for-all check
     in walk order, and the range checks' rank maps. The cycle-tree pass
     also marks each multiset rank whose tree decodes back to itself, valid,
@@ -246,30 +238,33 @@ def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResu
     word_dist: Counter = Counter()
     for p in paths._labeled_paths(k, labels, max_count, False):
         n_paths += 1
+        touches = paths.diagonal_touches(p) if bijections or statistics else None
         if bijections:
-            f = paths.decompose(p)
+            f = paths.decompose(p, touches)
             if not (_valid(f) and paths.recompose(f) == p):
                 fail("path-field-roundtrip", p)
         if statistics:
-            word_dist[len(paths.diagonal_touches(p))] += 1
+            word_dist[len(touches)] += 1
 
     n_trees = n_min_trees = 0
     for t in trees._trees(k, labels, max_count) if counts or bijections else ():
         n_trees += 1
-        minimal = trees.is_root_minimal(t)
+        branch = trees.rightmost_branch(t)
+        minimal = min(branch) == t.root
         n_min_trees += minimal
         if not bijections:
             continue
-        f = trees.tree_to_forest(t)
-        if not (_valid(f) and trees.forest_to_tree(f) == t):
+        f = trees.tree_to_forest(t, branch)
+        valid = _valid(f)
+        if not (valid and trees.forest_to_tree(f) == t):
             fail("tree-forest-roundtrip", t)
-        if not all(trees.is_root_minimal(part) for part in f.parts):
+        if not (valid or all(trees.is_root_minimal(part) for part in f.parts)):
             fail("forest-parts-root-minimal", t)
         if minimal:
-            c = trees.to_cycle_rooted(t)
+            c = trees.to_cycle_rooted(t, branch)
             if not (_valid(c) and trees.to_root_minimal(c) == t):
                 fail("min-cycle-roundtrip", t)
-            if len(c.cycle) != len(trees.rightmost_branch(t)):
+            if len(c.cycle) != len(branch):
                 fail("cycle-length-is-branch-length", t)
 
     # range checks cover the encodings, the composed roundtrip the carried
@@ -309,8 +304,8 @@ def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResu
         n_ornaments += 1
         if not (bijections or statistics):
             continue
+        touches = paths.diagonal_touches(o.rep)
         if statistics:
-            touches = paths.diagonal_touches(o.rep)
             touch_dist[len(touches)] += 1
             touch_labels = {lab for _, lab in touches}
         m = multisets.ornament_to_multiset(o)
@@ -333,7 +328,8 @@ def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResu
         if statistics and not (roots_ok if hit else (bijections or _valid(c))
                                and set(c.cycle) == touch_labels):
             fail("touch-labels-become-roots", o)
-        if bijections and not all(paths.to_ornament(q) == o for q in paths.rotations(o.rep)):
+        if bijections and not all(paths.to_ornament(q) == o
+                                  for q in paths.rotations(o.rep, touches)):
             fail("rotation-class-constant", o)
 
     # fields with a parts, for each a up to the largest one an asked suite reads

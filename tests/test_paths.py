@@ -153,6 +153,14 @@ class TestLabelMinimal:
     def test_size_one(self):
         assert is_label_minimal(GoodPath(2, "RU", (9,)))
 
+    @pytest.mark.parametrize("k, n", [(2, 4), (3, 3), (4, 2)])
+    def test_is_the_touch_minimum(self, k, n):
+        for p in enumerate_paths(k, range(1, n + 1)):
+            touches = diagonal_touches(p)
+            assert is_label_minimal(p) == (p.labels[0] == min(lab for _, lab in touches))
+            assert decompose(p, touches) == decompose(p)
+            assert rotations(p, touches) == rotations(p)
+
 
 class TestEnumeratePaths:
     def test_singleton(self):

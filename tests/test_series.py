@@ -83,6 +83,19 @@ class TestRingOperations:
         assert f**0 == Series.one(2)
         assert S(1, 1, 0, 0) ** 3 == S(1, 3, 3, 1)
 
+    def test_pow_makes_one_product_fewer_than_the_power(self, monkeypatch):
+        g = catalan_series(2, 6)
+        products = []
+        product = Series.__mul__
+
+        def counted(self, other):
+            products.append(other)
+            return product(self, other)
+
+        monkeypatch.setattr(Series, "__mul__", counted)
+        assert g**3 == product(product(g, g), g) and len(products) == 2
+        assert g**1 == g and g**0 == Series.one(6) and len(products) == 2
+
     def test_pow_of_log_catalan(self):
         sq = catalan_series(2, 3).log() ** 2
         assert sq[2] == 1

@@ -141,6 +141,15 @@ class TestRootMinimal:
     def test_left_children_do_not_matter(self):
         assert is_root_minimal(tree(2, 2, {2: (1, None), 1: leaf_row(2)}))
 
+    @pytest.mark.parametrize("k, n", [(2, 4), (3, 3), (4, 2)])
+    def test_is_the_branch_minimum(self, k, n):
+        for t in enumerate_trees(k, range(1, n + 1)):
+            branch = rightmost_branch(t)
+            assert is_root_minimal(t) == (t.root == min(branch))
+            assert tree_to_forest(t, branch) == tree_to_forest(t)
+            if is_root_minimal(t):
+                assert to_cycle_rooted(t, branch) == to_cycle_rooted(t)
+
 
 class TestEnumerateTrees:
     def test_singleton(self):

@@ -340,6 +340,11 @@ NEAR_MISSES = {
     "field-part-not-minimal": (trusted(MinimalField, parts=frozenset({
         GoodPath(2, "RURU", (2, 1))})), False),
     "field-empty": (trusted(MinimalField, parts=frozenset()), False),
+    "field-mixed-k": (trusted(MinimalField, parts=frozenset({P, GoodPath(3, "RUU", (3,))})),
+                      False),
+    # k=2.0 equals 2, so only the part's own check sees it, not the shared-k check
+    "field-part-k-float": (trusted(MinimalField, parts=frozenset({Q, with_fields(P, k=2.0)})),
+                           False),
     "tree": (T, True),
     "tree-slots-list": (with_fields(T, slots=list(T.slots.items())), False),
     "tree-slots-none": (with_fields(T, slots=None), False),
@@ -365,6 +370,16 @@ NEAR_MISSES = {
         PlaneTree, 2, 1, {1: (None, None), 2: (None, None)})})), False),
     "forest-part-not-root-minimal": (trusted(RootMinimalForest, parts=frozenset({
         PlaneTree(2, 2, {1: (None, None), 2: (None, 1)})})), False),
+    "forest-empty": (trusted(RootMinimalForest, parts=frozenset()), False),
+    "forest-mixed-k": (trusted(RootMinimalForest, parts=frozenset({
+        T, PlaneTree(3, 3, {3: (None, None, None)})})), False),
+    "forest-part-list-rows": (trusted(RootMinimalForest, parts=[stored_tree(
+        PlaneTree, 2, 1, {1: [None, None]})]), False),
+    # vertex 3 sits in a slot of the tree at 1 but has its row in the tree at
+    # 2: one walk over the union of the tables from both roots would pass it
+    "forest-part-borrows-a-vertex": (trusted(RootMinimalForest, parts=frozenset({
+        stored_tree(PlaneTree, 2, 1, {1: (3, None)}),
+        stored_tree(PlaneTree, 2, 2, {2: (None, None), 3: (None, None)})})), False),
     "cycle-tree": (C, True),
     "cycle-tree-cycle-list": (with_fields(C, cycle=[1, 2]), False),
     "cycle-tree-slots-list": (with_fields(C, slots=list(C.slots.items())), False),
@@ -397,3 +412,38 @@ NEAR_MISSES = {
 def test_in_place_check_agrees_on_near_misses(which):
     x, want = NEAR_MISSES[which]
     assert verdicts([x]) == {want: 1}
+
+
+def test_a_union_walk_passes_the_borrowed_vertex():
+    """The forest-part-borrows-a-vertex near miss is one that checking the
+    parts as one table would let through."""
+    parts = NEAR_MISSES["forest-part-borrows-a-vertex"][0].parts
+    union = dict(sorted(row for t in parts for row in t.slots.items()))
+    reference_check_forest(2, tuple(t.root for t in parts), tuple(union.items()))
+
+
+def part_mutations(x, n):
+    """Every field or forest x with one part replaced: a path with one
+    label set to another of 1..n+1, a tree with one slot set to a vacancy
+    or another of 1..n+1."""
+    for part in x.parts:
+        if isinstance(part, GoodPath):
+            changed = (with_fields(part, labels=part.labels[:i] + (v,) + part.labels[i + 1:])
+                       for i in range(part.n) for v in range(1, n + 2) if v != part.labels[i])
+        else:
+            changed = (stored_tree(PlaneTree, part.k, part.root, {
+                **part.slots, v: part.slots[v][:q] + (c,) + part.slots[v][q + 1:]})
+                for v in part.slots for q in range(part.k)
+                for c in [None, *range(1, n + 2)] if c != part.slots[v][q])
+        for q in changed:
+            yield trusted(type(x), parts=x.parts - {part} | {q})
+
+
+@pytest.mark.parametrize("k, n", [(2, 4), (3, 3)])
+def test_in_place_check_agrees_on_every_part_mutation(k, n):
+    labels = range(1, n + 1)
+    images = [*map(decompose, enumerate_paths(k, labels)),
+              *(f for a in range(1, n + 1) for f in enumerate_fields(k, n, a)),
+              *map(tree_to_forest, enumerate_trees(k, labels))]
+    seen = verdicts(y for x in images for y in part_mutations(x, n))
+    assert seen[True] and seen[False]
