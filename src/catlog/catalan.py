@@ -37,9 +37,9 @@ def returns_count(k: int, n: int, p: int) -> int:
     check_ints(out_of_range, (p, 1))
     if p > n:
         raise ValueError(out_of_range)
-    value = Fraction((k - 1) * p, k * n - p) * binomial(k * n - p, n - p)
-    assert value.denominator == 1
-    return value.numerator
+    q, r = divmod((k - 1) * p * binomial(k * n - p, n - p), k * n - p)
+    assert r == 0, "the ballot count (k-1)p/(kn-p) * C(kn-p, n-p) is an integer"
+    return q
 
 
 def _stirling_column(n: int, a: int) -> list[int]:

@@ -94,9 +94,24 @@ class Series(Record):
         return _series(tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
+        """The product at the common order, or the scalar multiple. `s * s`
+        takes each cross product c_i*c_j, i < j, once and doubles it, about
+        half the products; exact, so the same Fractions in lowest terms."""
         if isinstance(other, Series):
             self._match(other)
             n = self.order
+            if other is self:
+                c, out = self.coeffs, []
+                for m in range(n + 1):
+                    s = Fraction(0)
+                    for i in range((m + 1) // 2):  # i < m - i
+                        if c[i] and c[m - i]:
+                            s += c[i] * c[m - i]
+                    s += s
+                    if not m % 2 and c[m // 2]:
+                        s += c[m // 2] * c[m // 2]
+                    out.append(s)
+                return _series(tuple(out))
             out = [Fraction(0)] * (n + 1)
             for i, a in enumerate(self.coeffs):
                 if a == 0:

@@ -315,7 +315,12 @@ def forest_to_tree(f: RootMinimalForest) -> PlaneTree:
         return next(iter(f.parts))
     parts = sorted(f.parts, key=lambda t: t.root, reverse=True)
     rows = sorted(row for t in parts for row in t.slots.items())
-    links = {rightmost_branch(a)[-1]: b.root for a, b in zip(parts, parts[1:])}
+    links = {}
+    for a, b in zip(parts, parts[1:]):  # the end of a's rightmost branch, then b
+        v = a.root
+        while (nxt := a.slots[v][f.k - 1]) is not None:
+            v = nxt
+        links[v] = b.root
     return trusted(PlaneTree, k=f.k, root=parts[0].root, slots=_relink(f.k, rows, links))
 
 

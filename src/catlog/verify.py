@@ -283,7 +283,7 @@ def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResu
         least = multisets._least_root_order(m) if bijections or _valid(m) else None
         roots_ok = least and least[1] == set(c.cycle)
         if bijections:
-            # the reverse roundtrip; a forward counterexample comes first
+            # re-walk the opened branch: c.cycle would hide lost links; forward failures come first
             if trees.to_cycle_rooted(trees.to_root_minimal(c)) != c:
                 fail("min-cycle-roundtrip", c)
             back = multisets.multiset_to_cycle_tree(m, least)

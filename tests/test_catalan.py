@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from catlog.arith import factorial, harmonic
+from catlog.arith import binomial, factorial, harmonic
 from catlog.catalan import (
     coeff_log,
     coeff_log_power,
@@ -133,6 +133,15 @@ class TestReturnsCount:
     def test_two_two(self):
         assert returns_count(2, 2, 1) == 1  # RRUU
         assert returns_count(2, 2, 2) == 1  # RURU
+
+    def test_ballot_formula_in_integers(self):
+        # the exact quotient equals the formula taken in Fractions
+        for k in (2, 3, 5):
+            for n in range(1, 41):
+                for p in range(1, n + 1):
+                    got = returns_count(k, n, p)
+                    assert type(got) is int
+                    assert got == Fraction((k - 1) * p, k * n - p) * binomial(k * n - p, n - p)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):

@@ -18,10 +18,14 @@ def S(*coeffs):
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 
-def series_strategy(order: int, constant=None):
-    inner = st.tuples(*([st.just(Fraction(constant))] if constant is not None else [small_fractions]),
-                      *[small_fractions] * order)
+def series_strategy(order: int, constant=None, coeff=small_fractions):
+    inner = st.tuples(*([st.just(Fraction(constant))] if constant is not None else [coeff]),
+                      *[coeff] * order)
     return inner.map(Series)
+
+
+# coefficients that are often exactly zero, so products take the skips
+sparse_fractions = st.one_of(st.just(Fraction(0)), small_fractions)
 
 
 class TestConstruction:
@@ -102,6 +106,49 @@ class TestRingOperations:
         assert sq[3] == 3  # square of x + 3/2 x^2 + 10/3 x^3 by hand
 
 
+class TestSquare:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 12).flatmap(lambda n: series_strategy(n, coeff=sparse_fractions)))
+    def test_square_is_the_general_product(self, s):
+        # an equal but distinct right factor takes the general path
+        twin = Series(s.coeffs)
+        assert twin is not s
+        square = s * s
+        assert square == s * twin
+        assert all(type(c) is Fraction for c in square.coeffs)
+
+    @staticmethod
+    def squared(monkeypatch, s):
+        """s * s and the number of Fraction products it took."""
+        count = 0
+        product = Fraction.__mul__
+
+        def counted(a, b):
+            nonlocal count
+            count += 1
+            return product(a, b)
+
+        monkeypatch.setattr(Fraction, "__mul__", counted)
+        square = s * s
+        monkeypatch.undo()
+        return square, count
+
+    def test_square_of_a_sparse_series(self, monkeypatch):
+        # only c_1*c_3 and c_1^2 are products of two nonzero coefficients
+        square, count = self.squared(monkeypatch, S(0, 2, 0, Fraction(-1, 3), 0, 0))
+        assert square.coeffs == (0, 0, 4, 0, Fraction(-4, 3), 0)
+        assert count == 2
+
+    def test_square_takes_each_cross_product_once(self, monkeypatch):
+        # order 40, no zero coefficient: the general path takes all 41*42/2 =
+        # 861 products c_i*c_j; the square takes c_i*c_j for i < j once, plus
+        # c_(m/2)^2 at even m, 21**2 = 441
+        g = catalan_series(2, 40)
+        square, count = self.squared(monkeypatch, g)
+        assert count <= 441
+        assert square == g * Series(g.coeffs)
+
+
 class TestLogExp:
     def test_log_of_one(self):
         assert Series.one(5).log() == S(0, 0, 0, 0, 0, 0)
@@ -172,8 +219,8 @@ class TestCatalanSeries:
 
     def test_each_round_multiplies_at_its_own_order(self, monkeypatch):
         # machine-independent work: the output rows of every series-by-series
-        # product. Round m of the k = 2 growth makes three products at order
-        # m (two in g**2, one by x); 41 rounds at the full order make 5,043.
+        # product. Round m of the k = 2 growth makes two products at order
+        # m (one in g**2, one by x); 41 rounds at the full order make 5,043.
         rows = []
         product = Series.__mul__
 
@@ -185,7 +232,7 @@ class TestCatalanSeries:
         monkeypatch.setattr(Series, "__mul__", counted)
         g = catalan_series(2, 40)
         assert g == fixed_point_series(2, 40)
-        assert sum(rows) <= 3 * sum(m + 1 for m in range(1, 41))
+        assert sum(rows) <= 2 * sum(m + 1 for m in range(1, 41))  # 1,720
 
     def test_order_zero(self):
         for k in range(1, 6):

@@ -24,6 +24,11 @@ STRUCTURE_SUITES = ("bijections", "statistics")
 # a change that moves these bytes must say why and update the pin
 PINNED_ALL_2_3_4 = "23ef205fdd6b4c57b4cf7b5abdd7b2367e217901630cf0c394018fe23920708a"
 
+# sha256 of `catlog verify --suite series --k 1,2,3,5 --max-n 40 --format json`:
+# k = 1 makes no product, k = 2 only squares, k = 3 and 5 squares and general
+# products, recorded before `s * s` took its own path
+PINNED_SERIES_1_2_3_5_40 = "bebb8616ba3e9e973e4166e3b28b498b2ea706e6e2a640fc90627c0efd9a0451"
+
 
 @pytest.mark.parametrize("ks, max_n", [([2, 3], 4), ([2], 5), ([3], 4), ([4], 3)],
                          ids=["k2,3-n4", "k2-n5", "k3-n4", "k4-n3"])
@@ -55,12 +60,15 @@ def test_unknown_suite():
         run_suite("nope", [2], 3)
 
 
-def test_pinned_report_bytes(capsys):
-    code = main(["verify", "--suite", "all", "--k", "2,3", "--max-n", "4",
-                 "--format", "json"])
+@pytest.mark.parametrize("suite, ks, max_n, pin", [
+    ("all", "2,3", "4", PINNED_ALL_2_3_4),
+    ("series", "1,2,3,5", "40", PINNED_SERIES_1_2_3_5_40),
+], ids=["all", "series"])
+def test_pinned_report_bytes(capsys, suite, ks, max_n, pin):
+    code = main(["verify", "--suite", suite, "--k", ks, "--max-n", max_n, "--format", "json"])
     out = capsys.readouterr().out
     assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_ALL_2_3_4
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == pin
 
 
 def test_a_grid_point_holds_no_structure_list():
