@@ -270,7 +270,7 @@ def multiset_to_ornament(m: CyclicMultiset, rooted=None) -> Ornament:
 
     Starting the label order at the smallest root vertex makes the word
     good and label-minimal. A caller that holds `_least_root_order(m)`
-    passes it as `rooted`.
+    passes it as `rooted`, trusted; another value builds a wrong ornament.
     """
     order, _ = _decoder_start(m, rooted, "ornament")
     chunks = []
@@ -332,7 +332,8 @@ def multiset_to_cycle_tree(m: CyclicMultiset, rooted=None) -> CycleRootedTree:
     Replays the depth-first exploration: the root vertices of m mark
     where subtrees start, and multiplicities are consumed as remaining
     chain budgets while the labels are attached in cycle order. A caller
-    that holds `_least_root_order(m)` passes it as `rooted`.
+    that holds `_least_root_order(m)` passes it as `rooted`, trusted;
+    another value builds an invalid tree.
     """
     seq, roots = _decoder_start(m, rooted, "tree")
     k = m.k

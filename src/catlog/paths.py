@@ -226,6 +226,7 @@ def decompose(p: GoodPath, touches=None) -> MinimalField:
     all touch labels below it (the left-to-right minima, read bottom up).
     Each piece is label-minimal, the origin labels of the pieces come out
     strictly decreasing, and their label sets partition the input's.
+    `touches` is trusted to be diagonal_touches(p); another list builds an invalid field.
     """
     cuts = []
     low = None
@@ -263,7 +264,8 @@ def _rotate_to(p: GoodPath, height: int) -> GoodPath:
 
 
 def rotations(p: GoodPath, touches=None) -> list[GoodPath]:
-    """All members of the rotation class of p, one per diagonal touch, `touches` if given."""
+    """All members of the rotation class of p, one per diagonal touch; `touches`, if
+    given, is trusted to be diagonal_touches(p): another list builds wrong paths."""
     return [_rotate_to(p, height) for height, _ in touches or diagonal_touches(p)]
 
 
@@ -332,13 +334,13 @@ def _fields(k: int, n: int, parts: int, max_count):
     if parts > n:
         return
     for blocks in _set_partitions(n, parts):
-        # a stack of walks, each later block re-walked per earlier choice (flat)
-        walks, chosen = [_labeled_paths(k, blocks[0], max_count, True)], []
+        # a stack of walks, each later block re-walked per earlier choice, under the cap above
+        walks, chosen = [_labeled_paths(k, blocks[0], None, True)], []
         while walks:
             for p in walks[-1]:
                 chosen[len(walks) - 1:] = [p]
                 if len(walks) < parts:
-                    walks.append(_labeled_paths(k, blocks[len(walks)], max_count, True))
+                    walks.append(_labeled_paths(k, blocks[len(walks)], None, True))
                     break
                 yield trusted(MinimalField, parts=frozenset(chosen))
             else:

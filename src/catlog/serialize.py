@@ -1,7 +1,9 @@
 """JSON forms for the combinatorial structures, shared by the CLI.
 
-One object per structure, a "kind" field first, slot tables as objects
-keyed by the vertex (JSON object keys are strings), null for vacancies.
+One object per structure: a "kind" field, then each field its record
+declares, in declaration order (an ornament's are its representative
+path's). Tuples are written as lists, slot tables and multiplicity maps as
+objects keyed by the vertex (JSON keys are strings), null for vacancies.
 Output is deterministic: keys are emitted in a fixed order and
 collections are sorted.
 """
@@ -59,6 +61,14 @@ def _parts(values) -> list:
     return [from_obj(p) for p in values]
 
 
+# the reader of each declared field's JSON value; the constructor judges what it reads
+_READERS = {
+    "k": _int, "root": _int, "steps": lambda steps: steps, "slots": _slots_from_obj,
+    "labels": lambda labels: _ints(labels, "labels"), "parts": _parts,
+    "cycle": lambda cycle: _ints(cycle, "cycle"),
+    "f": lambda f: [(v, _ints(vec, "each vector of f")) for v, vec in _keyed(f, "f")],
+}
+
 # the "kind" of each structure type, in the order the CLI lists them
 KINDS = {
     GoodPath: "path",
@@ -69,74 +79,48 @@ KINDS = {
     CycleRootedTree: "cycle-tree",
     CyclicMultiset: "multiset",
 }
+_TYPES = {kind: cls for cls, kind in KINDS.items()}
+
+# the order a field's and a forest's parts are written in
+_PART_ORDER = {MinimalField: lambda p: (p.steps, p.labels), RootMinimalForest: lambda t: t.root}
 
 
 def to_obj(x) -> dict:
-    """Plain-dict form of any structure, dispatching on its kind."""
+    """Plain-dict form of any structure: its kind, then each field its
+    record declares, in order; an ornament's are its representative's."""
     kind = KINDS.get(type(x))
-    if kind in ("path", "ornament"):
-        p = x if kind == "path" else x.rep
-        return {"kind": kind, "k": p.k, "steps": p.steps, "labels": list(p.labels)}
-    if kind == "field":
-        parts = sorted(x.parts, key=lambda p: (p.steps, p.labels))
-        return {"kind": kind, "parts": [to_obj(p) for p in parts]}
-    if kind == "tree":
-        return {"kind": kind, "k": x.k, "root": x.root, "slots": _table_obj(x.slots)}
-    if kind == "forest":
-        parts = sorted(x.parts, key=lambda t: t.root)
-        return {"kind": kind, "parts": [to_obj(t) for t in parts]}
-    if kind == "cycle-tree":
-        return {
-            "kind": kind,
-            "k": x.k,
-            "cycle": list(x.cycle),
-            "slots": _table_obj(x.slots),
-        }
-    if kind == "multiset":
-        return {
-            "kind": kind,
-            "k": x.k,
-            "cycle": list(x.cycle),
-            "f": _table_obj(x.f),
-        }
-    raise ValueError(f"cannot serialize {type(x).__name__}")
+    if kind is None:
+        raise ValueError(f"cannot serialize {type(x).__name__}")
+    record = x.rep if kind == "ornament" else x
+    obj = {"kind": kind}
+    for field in type(record)._fields:
+        value = getattr(record, field)
+        if type(value) is tuple:
+            value = list(value)
+        elif type(value) is dict:
+            value = _table_obj(value)
+        elif type(value) is frozenset:
+            value = [to_obj(p) for p in sorted(value, key=_PART_ORDER[type(x)])]
+        obj[field] = value
+    return obj
 
 
 def from_obj(obj):
-    """Rebuild a structure from its plain-dict form; constructor validation
-    reports the violated invariant on bad input."""
+    """Rebuild a structure from its plain-dict form, each declared field
+    read in order; constructor validation reports the violated invariant
+    on bad input."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("input must be a JSON object with a 'kind' field")
     kind = obj["kind"]
+    cls = _TYPES.get(kind) if type(kind) is str else None
+    if cls is None:
+        raise ValueError(f"unknown kind {kind!r}")
+    record = GoodPath if cls is Ornament else cls
     try:
-        if kind in ("path", "ornament"):
-            labels = _ints(obj["labels"], "labels")
-            p = GoodPath(_int(obj["k"]), obj["steps"], labels)
-            return p if kind == "path" else Ornament(p)
-        if kind == "field":
-            return MinimalField(_parts(obj["parts"]))
-        if kind == "tree":
-            return PlaneTree(_int(obj["k"]), _int(obj["root"]), _slots_from_obj(obj["slots"]))
-        if kind == "forest":
-            return RootMinimalForest(_parts(obj["parts"]))
-        if kind == "cycle-tree":
-            return CycleRootedTree(
-                _int(obj["k"]),
-                _ints(obj["cycle"], "cycle"),
-                _slots_from_obj(obj["slots"]),
-            )
-        if kind == "multiset":
-            return CyclicMultiset(
-                _int(obj["k"]),
-                _ints(obj["cycle"], "cycle"),
-                [
-                    (v, _ints(vec, "each vector of f"))
-                    for v, vec in _keyed(obj["f"], "f")
-                ],
-            )
+        x = record(*[_READERS[field](obj[field]) for field in record._fields])
     except KeyError as exc:
         raise ValueError(f"{kind} object is missing field {exc}") from exc
-    raise ValueError(f"unknown kind {kind!r}")
+    return Ornament(x) if cls is Ornament else x
 
 
 def dumps(x) -> str:

@@ -164,11 +164,12 @@ class Series(Record):
             raise ValueError("exp needs constant term 0")
         n = self.order
         c = self.coeffs
+        deriv = [i * c[i] for i in range(1, n + 1)]  # coefficients of self'
         out = [Fraction(1)] + [Fraction(0)] * n
         for m in range(n):
             s = Fraction(0)
             for j in range(m + 1):
-                s += (m + 1 - j) * c[m + 1 - j] * out[j]
+                s += deriv[m - j] * out[j]
             out[m + 1] = s / (m + 1)
         return _series(tuple(out))
 

@@ -284,7 +284,8 @@ def enumerate_trees(
 def tree_to_forest(t: PlaneTree, branch=None) -> RootMinimalForest:
     """Cut the rightmost branch, `branch` if given, wherever the next vertex
     undercuts the root of the piece being built; every piece comes out
-    root-minimal. A root-minimal tree is cut nowhere: its forest holds t itself."""
+    root-minimal. A root-minimal tree is cut nowhere: its forest holds t itself.
+    `branch` is trusted to be rightmost_branch(t); another list builds an invalid forest."""
     roots = [t.root]
     cuts = {}
     branch = branch or rightmost_branch(t)
@@ -326,7 +327,8 @@ def forest_to_tree(f: RootMinimalForest) -> PlaneTree:
 
 def to_cycle_rooted(t: PlaneTree, branch=None) -> CycleRootedTree:
     """Bend the rightmost branch of a root-minimal tree, `branch` if given,
-    into the root cycle; branch order becomes clockwise order."""
+    into the root cycle; branch order becomes clockwise order. `branch` is trusted
+    to be rightmost_branch(t); another list builds an invalid tree."""
     branch = tuple(branch or rightmost_branch(t))
     if min(branch) != t.root:
         raise ValueError("only a root-minimal tree bends into a cycle")

@@ -177,6 +177,15 @@ def _valid(x) -> bool:
         return False
 
 
+def _attempt(read, x, *args):
+    """read(x, *args), or None where it raises: a multiset image unreadable or
+    without root vertices fails every check that reads it, naming that check's source."""
+    try:
+        return read(x, *args)
+    except Exception:
+        return None
+
+
 class _Range:
     """Whether a stream of images is exactly the rooted multisets of one
     grid point, read by rank: one byte per multiset rank, set to 1 at the
@@ -280,13 +289,13 @@ def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResu
             continue
         m = multisets.cycle_tree_to_multiset(c)
         # its root vertices, once, for the decoder and the statistics check
-        least = multisets._least_root_order(m) if bijections or _valid(m) else None
+        least = _attempt(multisets._least_root_order, m) if bijections or _valid(m) else None
         roots_ok = least and least[1] == set(c.cycle)
         if bijections:
             # re-walk the opened branch: c.cycle would hide lost links; forward failures come first
             if trees.to_cycle_rooted(trees.to_root_minimal(c)) != c:
                 fail("min-cycle-roundtrip", c)
-            back = multisets.multiset_to_cycle_tree(m, least)
+            back = _attempt(multisets.multiset_to_cycle_tree, m, least)
             if back != c:
                 fail("cycle-tree-multiset-roundtrip", c)
             r = tree_range.add(m)
@@ -309,23 +318,23 @@ def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResu
             touch_dist[len(touches)] += 1
             touch_labels = {lab for _, lab in touches}
         m = multisets.ornament_to_multiset(o)
-        least = multisets._least_root_order(m)  # once, for both decoders and the check
+        least = _attempt(multisets._least_root_order, m)  # once, for both decoders and the check
         if bijections:
-            roundtrip = multisets.multiset_to_ornament(m, least) == o
+            roundtrip = _attempt(multisets.multiset_to_ornament, m, least) == o
             if not roundtrip:
                 fail("ornament-multiset-roundtrip", o)
             r = ornament_range.add(m)
-        roots_ok = statistics and (bijections or _valid(m)) and least[1] == touch_labels
+        roots_ok = statistics and (bijections or _valid(m)) and least and least[1] == touch_labels
         if statistics and not roots_ok:
             fail("ornament-root-vertices", o)
         # a hit: m decodes to the valid tree decoded from an equal multiset
         # above, which carries o back as m does and has m's roots as its cycle
         hit = bijections and r is not None and decoded[r]
-        c = None if hit else multisets.multiset_to_cycle_tree(m, least)
+        c = None if hit else _attempt(multisets.multiset_to_cycle_tree, m, least)
         if bijections and not (roundtrip if hit else _valid(c)
-                               and multisets.cycle_tree_to_ornament(c) == o):
+                               and _attempt(multisets.cycle_tree_to_ornament, c) == o):
             fail("composed-correspondence-roundtrip", o)
-        if statistics and not (roots_ok if hit else (bijections or _valid(c))
+        if statistics and not (roots_ok if hit else (c is not None if bijections else _valid(c))
                                and set(c.cycle) == touch_labels):
             fail("touch-labels-become-roots", o)
         if bijections and not all(paths.to_ornament(q) == o

@@ -374,6 +374,8 @@ class TestShapeErrors:
         ('{"kind":"multiset","k":2,"cycle":[1],"f":[1]}', "f"),
         ('{"kind":"field","parts":5}', "parts"),
         ('{"kind":"path","k":2,"steps":"RU","labels":5}', "labels"),
+        # fields are read in declaration order: a missing k is named first
+        ('{"kind":"path","steps":"RU","labels":5}', "path object is missing field 'k'"),
         ('{"kind":"multiset","k":2,"cycle":[1],"f":{"1":1}}', "f"),
         ('{"kind":"forest","parts":[{"kind":"path","k":2,"steps":"RU","labels":[1]}]}',
          "part"),

@@ -430,6 +430,15 @@ class TestFields:
     def test_more_parts_than_labels(self):
         assert enumerate_fields(2, 2, 3) == []
 
+    def test_only_the_field_count_meets_the_cap(self):
+        """210 one-part fields on 4 labels come from 336 good paths; the
+        walks of each block check no cap of their own."""
+        assert len(enumerate_fields(2, 4, 1, max_count=210)) == 210
+        with pytest.raises(ResourceCapError) as refused:
+            enumerate_fields(2, 4, 1, max_count=209)
+        assert str(refused.value) == ("minimal fields: 210 structures predicted, cap is 209 "
+                                      "(raise or disable the cap to proceed)")
+
     def test_egf_consistency(self):
         for k in (2,):
             for n in range(1, 6):

@@ -173,6 +173,24 @@ class TestLogExp:
         f = Series((Fraction(0),) + tuple(Fraction(1, n) for n in range(1, 8)))
         assert f.exp() == Series((Fraction(1),) * 8)
 
+    def test_exp_builds_the_derivative_once(self, monkeypatch):
+        # order 30: one int x Fraction product per coefficient of the
+        # derivative, where rebuilding it for every output took 465
+        f = catalan_series(2, 30).log()
+        count = 0
+        product = Fraction.__rmul__
+
+        def counted(a, b):
+            nonlocal count
+            count += type(b) is int
+            return product(a, b)
+
+        monkeypatch.setattr(Fraction, "__rmul__", counted)
+        e = f.exp()
+        monkeypatch.undo()
+        assert count == 30
+        assert e == catalan_series(2, 30)
+
     def test_wrong_constant_terms(self):
         with pytest.raises(ValueError):
             S(2, 1).log()

@@ -378,29 +378,12 @@ def test_first_counterexample_is_first_in_public_order(monkeypatch, module, attr
     assert _failing("bijections")[(check, K, N)] == serialize.dumps(items[0])
 
 
-def _rootless():
-    return next(m for m in multisets.enumerate_multisets(3, 2) if not multisets.root_vertices(m))
-
-
-@pytest.mark.parametrize("attr, suite, what", [
-    ("ornament_to_multiset", "all", "ornament"),
-    ("ornament_to_multiset", "bijections", "ornament"),
-    ("ornament_to_multiset", "statistics", "tree"),
-    ("cycle_tree_to_multiset", "all", "tree"),
-    ("cycle_tree_to_multiset", "bijections", "tree"),
-])
-def test_a_rootless_image_raises_the_decoders_message(monkeypatch, attr, suite, what):
-    """An encoding with no root vertices stops the run in the first
-    decoder that reads it, with that decoder's message."""
-    rootless = _rootless()
-    monkeypatch.setattr(multisets, attr, lambda x, *args: rootless)
-    with pytest.raises(ValueError,
-                       match=f"^multiset has no root vertices, so it encodes no {what}$"):
-        run_suite(suite, [3], 2)
+def _rootless_at(k, n):
+    return next(m for m in multisets.enumerate_multisets(k, n) if not multisets.root_vertices(m))
 
 
 def test_a_rootless_tree_image_fails_the_root_vertex_check(monkeypatch):
-    rootless = _rootless()
+    rootless = _rootless_at(3, 2)
     monkeypatch.setattr(multisets, "cycle_tree_to_multiset", lambda x, *args: rootless)
     failed = {r.name for r in run_suite("statistics", [3], 2).results if not r.passed}
     assert failed == {"cycle-tree-root-vertices"}
@@ -529,6 +512,63 @@ def test_rank_rejects_an_invalid_encoding(which):
     _, image, _ = INVALID_IMAGES[which][2]()
     with pytest.raises(ValueError):
         multisets.multiset_rank(image)
+
+
+# -- unreadable images ------------------------------------------------------------
+# An encoder image the decoders cannot read: a multiset whose f lacks a
+# cycle label, or a valid multiset with no root vertices. It fails every
+# check that reads it, for-all checks with its source as the counterexample,
+# and the run still ends in a report.
+
+
+def _f_lacking_a_label(m):
+    return trusted(multisets.CyclicMultiset, k=m.k, cycle=m.cycle,
+                   f={v: vec for v, vec in m.f.items() if v != m.cycle[-1]})
+
+
+# each fault, the k it is tried at, and the image it puts in place of m
+UNREADABLE_IMAGES = {
+    "f-lacks-a-label": (2, _f_lacking_a_label),
+    "rootless": (3, lambda m: _rootless_at(m.k, m.n)),
+}
+
+# each encoder, its sources at (k, N), and the checks that read its image, by
+# suite; the composed check names the ornament, x0 or the one x0 carries
+ENCODERS = {
+    "ornament_to_multiset": (paths.enumerate_ornaments, {
+        "bijections": {"ornament-multiset-roundtrip", "ornament-encoding-range",
+                       "composed-correspondence-roundtrip"},
+        "statistics": {"ornament-root-vertices", "touch-labels-become-roots"}}),
+    "cycle_tree_to_multiset": (trees.enumerate_cycle_rooted, {
+        "bijections": {"cycle-tree-multiset-roundtrip", "cycle-tree-encoding-range",
+                       "composed-correspondence-roundtrip"},
+        "statistics": {"cycle-tree-root-vertices"}}),
+}
+
+
+@pytest.mark.parametrize("encoder", ENCODERS)
+@pytest.mark.parametrize("fault", UNREADABLE_IMAGES)
+def test_an_unreadable_image_fails_the_checks_that_read_it(monkeypatch, capsys, fault,
+                                                           encoder):
+    k, unreadable = UNREADABLE_IMAGES[fault]
+    sources, reading = ENCODERS[encoder]
+    x0 = sources(k, N)[0]
+    ornament = x0 if encoder == "ornament_to_multiset" else multisets.cycle_tree_to_ornament(x0)
+    _send(monkeypatch, multisets, encoder, x0, unreadable(getattr(multisets, encoder)(x0)))
+    failed = {}
+    for suite in ("all", *STRUCTURE_SUITES):
+        names = reading["bijections"] | reading["statistics"] if suite == "all" else reading[suite]
+        got = {(r.name, r.k, r.n): r.message
+               for r in run_suite(suite, [k], N).results if not r.passed}
+        assert set(got) == {(name, k, N) for name in names}, suite
+        for (name, _, _), message in got.items():
+            named = ornament if name == "composed-correspondence-roundtrip" else x0
+            assert name not in REPLAY or message == serialize.dumps(named), name
+        failed.update(got)
+        # `catlog verify` over k = 2,3 reports the failure, with no traceback
+        code, out, err = main(["verify", "--suite", suite, "--max-n", str(N)]), *capsys.readouterr()
+        assert (code, err) == (1, "") and f"\nsuite {suite}: FAIL (" in out
+    assert _replayed(monkeypatch, capsys, failed) > 0
 
 
 # -- faults behind the ornament pass's reading of the cycle-tree pass ------------
