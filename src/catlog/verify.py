@@ -125,16 +125,12 @@ def suite_series(ks, max_n: int) -> list[CheckResult]:
 
 @lru_cache(maxsize=32)
 def _grid_structures(k: int, n: int, max_count):
-    """The cyclic multisets of one grid point, walked once: how many there
-    are, how many of them have root vertices, and the rooted rank map, one
-    byte per multiset rank, 1 at the rank of each rooted multiset.
-
-    It keeps no structure. bench/worker.py reads this cache's statistics,
-    which is why the cache and the name stay."""
-    # the walk yields the multisets in rank order, so a position is a rank
-    rooted = bytes(1 if multisets.root_vertices(m) else 0
-                   for m in multisets._multisets(k, n, max_count))
-    return len(rooted), rooted.count(1), rooted
+    """How many cyclic multisets one grid point has, and how many have root
+    vertices, from one walk that keeps no structure. bench/worker.py reads
+    this cache's statistics, which is why the cache and the name stay."""
+    rooted = Counter(bool(multisets.root_vertices(m))
+                     for m in multisets._multisets(k, n, max_count))
+    return rooted.total(), rooted[True]
 
 
 def _check_all(name, k, n, bad) -> CheckResult:
@@ -186,34 +182,48 @@ def _attempt(read, x, *args):
         return None
 
 
+def _distinct(images) -> int:
+    """How many of `images` differ, by equality: a set holds the hashable
+    ones and a list the rest, and each image is compared with both, since
+    a set and a frozenset of equal parts compare equal."""
+    hashed, rest = set(), []
+    for x in images:
+        try:
+            seen, keep = x in hashed, hashed.add
+        except TypeError:  # cannot hash: compared one by one
+            seen, keep = any(x == y for y in hashed), rest.append
+        if not (seen or any(x == y for y in rest)):
+            keep(x)
+    return len(hashed) + len(rest)
+
+
 class _Range:
     """Whether a stream of images is exactly the rooted multisets of one
-    grid point, read by rank: one byte per multiset rank, set to 1 at the
-    rank of each image."""
+    grid point: one byte per multiset rank, 1 at the rank of each image
+    that is a rooted multiset of the point, and a list of the others."""
 
-    def __init__(self, k: int, n: int, rooted: bytes):
-        self.k, self.n, self.rooted = k, n, rooted
-        self.seen = bytearray(len(rooted))
-        self.others: list = []  # distinct images equal to no multiset of the point
+    def __init__(self, k: int, n: int, n_ms: int):
+        self.k, self.n = k, n
+        self.seen = bytearray(n_ms)
+        self.others: list = []
 
-    def add(self, m) -> int | None:
-        """Mark the rank of image m and return it; None for an image that
-        is no multiset of the point."""
+    def add(self, m, least) -> bool:
+        """Whether image m, whose _least_root_order is `least` (None where
+        unreadable), is a rooted multiset of the point; if so, mark its rank."""
         try:
             r = multisets.multiset_rank(m)
         except ValueError:
             r = None
-        if r is not None and (m.k, m.n) == (self.k, self.n):
+        if r is not None and (m.k, m.n) == (self.k, self.n) and least and least[1]:
             self.seen[r] = 1
-            return r
-        if m not in self.others:  # by equality: an invalid image may not hash
-            self.others.append(m)
-        return None
+            return True
+        self.others.append(m)
+        return False
 
-    def result(self, name: str) -> CheckResult:
-        images = self.seen.count(1) + len(self.others)
-        return _check(name, self.k, self.n, not self.others and self.seen == self.rooted,
-                      f"{images} images vs {self.rooted.count(1)} rooted")
+    def result(self, name: str, n_rooted: int) -> CheckResult:
+        marked = self.seen.count(1)
+        return _check(name, self.k, self.n, not self.others and marked == n_rooted,
+                      f"{marked + _distinct(self.others)} images vs {n_rooted} rooted")
 
 
 def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResult]]:
@@ -228,12 +238,12 @@ def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResu
     rightmost branches are walked once per structure, and a forest's parts
     again only if it fails its in-place check. A pass keeps
     counts, distributions, the first counterexample of each for-all check
-    in walk order, and the range checks' rank maps. The cycle-tree pass
-    also marks each multiset rank whose tree decodes back to itself, valid,
-    with the root vertices as its cycle; at a marked rank the ornament pass
-    takes the composed checks' verdicts from its own roundtrip and root-vertex
-    checks, elsewhere it decodes its image. A pass or an image that no
-    asked suite reads is skipped."""
+    in walk order, and a range check's byte per multiset rank. Where every
+    cycle tree decodes back from its image, valid, with the image's roots
+    as its cycle, and the images are the rooted multisets, the ornament
+    pass takes the composed checks' verdicts on a rooted image from its
+    own roundtrip and root-vertex checks; elsewhere it decodes its image.
+    A pass or an image that no asked suite reads is skipped."""
     counts = "counts" in suites
     bijections = "bijections" in suites
     statistics = "statistics" in suites
@@ -241,7 +251,7 @@ def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResu
     first: dict = {}  # check name -> its first counterexample
     fail = first.setdefault
     if counts or bijections:
-        n_ms, n_rooted, rooted = _grid_structures(k, n, max_count)
+        n_ms, n_rooted = _grid_structures(k, n, max_count)
 
     n_paths = 0
     word_dist: Counter = Counter()
@@ -281,8 +291,8 @@ def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResu
     # an image checks it
     n_cycle_trees = 0
     cycle_dist: Counter = Counter()
-    tree_range = _Range(k, n, rooted) if bijections else None
-    decoded = bytearray(n_ms if bijections else 0)
+    tree_range = _Range(k, n, n_ms) if bijections else None
+    trees_back = True  # each tree came back from its image equal and valid, its cycle the roots
     for c in trees._cycle_rooted(k, n, max_count):
         n_cycle_trees += 1
         if not (bijections or statistics):
@@ -298,17 +308,21 @@ def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResu
             back = _attempt(multisets.multiset_to_cycle_tree, m, least)
             if back != c:
                 fail("cycle-tree-multiset-roundtrip", c)
-            r = tree_range.add(m)
-            if r is not None and roots_ok and back == c and _valid(back):
-                decoded[r] = 1
+            tree_range.add(m, least)
+            trees_back = trees_back and roots_ok and back == c and _valid(back)
         if statistics:
             cycle_dist[len(c.cycle)] += 1
             if not roots_ok:
                 fail("cycle-tree-root-vertices", c)
 
+    # each tree decodes back from its image and the images are the rooted
+    # multisets, so the decoder inverts a bijection from the trees onto them
+    tree_result = tree_range and tree_range.result("cycle-tree-encoding-range", n_rooted)
+    bijective = tree_result and trees_back and tree_result.passed
+
     n_ornaments = 0
     touch_dist: Counter = Counter()
-    ornament_range = _Range(k, n, rooted) if bijections else None
+    ornament_range = _Range(k, n, n_ms) if bijections else None
     for o in paths._ornaments(k, n, max_count):
         n_ornaments += 1
         if not (bijections or statistics):
@@ -323,13 +337,13 @@ def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResu
             roundtrip = _attempt(multisets.multiset_to_ornament, m, least) == o
             if not roundtrip:
                 fail("ornament-multiset-roundtrip", o)
-            r = ornament_range.add(m)
+            rooted = ornament_range.add(m, least)
         roots_ok = statistics and (bijections or _valid(m)) and least and least[1] == touch_labels
         if statistics and not roots_ok:
             fail("ornament-root-vertices", o)
-        # a hit: m decodes to the valid tree decoded from an equal multiset
-        # above, which carries o back as m does and has m's roots as its cycle
-        hit = bijections and r is not None and decoded[r]
+        # a hit: a rooted m decodes to the valid tree encoded as m, which
+        # carries o back as m does and has m's roots as its cycle
+        hit = bijective and rooted
         c = None if hit else _attempt(multisets.multiset_to_cycle_tree, m, least)
         if bijections and not (roundtrip if hit else _valid(c)
                                and _attempt(multisets.cycle_tree_to_ornament, c) == o):
@@ -383,10 +397,10 @@ def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResu
         # only a failed one needs the images counted
         n_images = n_paths
         if "path-field-roundtrip" in first:
-            n_images = len({paths.decompose(p)
-                            for p in paths._labeled_paths(k, labels, max_count, False)})
-        forests_injective = "tree-forest-roundtrip" not in first or n_trees == len(
-            {trees.tree_to_forest(t) for t in trees._trees(k, labels, max_count)})
+            n_images = _distinct(paths.decompose(p)
+                                 for p in paths._labeled_paths(k, labels, max_count, False))
+        forests_injective = "tree-forest-roundtrip" not in first or n_trees == _distinct(
+            trees.tree_to_forest(t) for t in trees._trees(k, labels, max_count))
         total_fields = sum(n_fields)
         bij.append(for_all("path-field-roundtrip"))
         bij.append(_check("path-field-bijective", k, n,
@@ -398,9 +412,9 @@ def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResu
         bij.append(for_all("min-cycle-roundtrip"))
         bij.append(for_all("cycle-length-is-branch-length"))
         bij.append(for_all("ornament-multiset-roundtrip"))
-        bij.append(ornament_range.result("ornament-encoding-range"))
+        bij.append(ornament_range.result("ornament-encoding-range", n_rooted))
         bij.append(for_all("cycle-tree-multiset-roundtrip"))
-        bij.append(tree_range.result("cycle-tree-encoding-range"))
+        bij.append(tree_result)
         bij.append(for_all("composed-correspondence-roundtrip"))
         bij.append(for_all("rotation-class-constant"))
 

@@ -72,8 +72,9 @@ def test_pinned_report_bytes(capsys, suite, ks, max_n, pin):
 
 
 def test_a_grid_point_holds_no_structure_list():
-    """Each pass keeps counts, first counterexamples and rank maps; holding
-    the structures and images of the (2, 5) point took 18.5 MB."""
+    """Each pass keeps counts, first counterexamples and a range check's
+    byte per multiset rank; holding the structures and images of the
+    (2, 5) point took 18.5 MB."""
     verify._grid_structures.cache_clear()
     tracemalloc.start()
     try:
@@ -132,19 +133,24 @@ def test_counts_builds_no_images(monkeypatch):
 
 @pytest.mark.parametrize("suite", ["all", *STRUCTURE_SUITES])
 def test_each_cycle_tree_is_decoded_once(monkeypatch, suite):
-    """The ornament pass reads the cycle-tree pass's verdict on the tree
-    decoded from an equal multiset, so no tree is encoded, nor any
-    multiset decoded to a tree, twice; cycle_tree_to_ornament, which does
-    both, is never called."""
+    """Once the cycle-tree pass has shown the tree encoding a bijection onto
+    the rooted multisets, the ornament pass reads a rooted image's tree
+    from it, so no tree is encoded, nor any multiset decoded to a tree,
+    twice; cycle_tree_to_ornament, which does both, is never called. Each
+    encoder image is ranked once by its range check, which the statistics
+    suite does not run."""
     calls = Counter()
-    for attr in ("multiset_to_cycle_tree", "cycle_tree_to_multiset", "cycle_tree_to_ornament"):
+    for attr in ("multiset_to_cycle_tree", "cycle_tree_to_multiset", "cycle_tree_to_ornament",
+                 "multiset_rank"):
         def counted(*args, _real=getattr(multisets, attr), _attr=attr):
             calls[_attr] += 1
             return _real(*args)
         monkeypatch.setattr(multisets, attr, counted)
     assert run_suite(suite, [2], 4).overall
     n_trees = sum(catalan.count_ornaments(2, n) for n in range(1, 5))
-    assert calls == {"multiset_to_cycle_tree": n_trees, "cycle_tree_to_multiset": n_trees}
+    ranked = {} if suite == "statistics" else {"multiset_rank": 2 * n_trees}
+    assert calls == {"multiset_to_cycle_tree": n_trees, "cycle_tree_to_multiset": n_trees,
+                     **ranked}
 
 
 STRUCTURES = (paths.GoodPath, paths.MinimalField, paths.Ornament, trees.PlaneTree,
@@ -199,6 +205,31 @@ def test_fields_counted_once_up_to_the_largest_part_count_read(monkeypatch, suit
     run_suite(suite, [2], 4)
     assert calls == {("_fields", 2, n, a, DEFAULT_MAX_ENUMERATION): 1
                      for n in range(1, 5) for a in range(1, top(n) + 1)}
+
+
+def _first_for_last(walk):
+    """`walk` with its first structure yielded in place of its last."""
+    def walked(*args):
+        items = list(walk(*args))
+        return iter([*items[:-1], items[0]])
+    return walked
+
+
+@pytest.mark.parametrize("module, walk, check, also", [
+    (trees, "_cycle_rooted", "cycle-tree-encoding-range", set()),
+    (paths, "_ornaments", "ornament-encoding-range", {"touch-distribution"}),
+], ids=["cycle-trees", "ornaments"])
+def test_a_walk_that_repeats_a_structure_fails_its_range_check(monkeypatch, module, walk,
+                                                              check, also):
+    """The ranks are verify's test that these walks yield distinct
+    structures: a walk that yields its first structure twice and its last
+    never keeps every count and roundtrip, so checks that count images
+    instead of marking their ranks pass it."""
+    monkeypatch.setattr(module, walk, _first_for_last(getattr(module, walk)))
+    failed = {(r.name, r.n): r.message for r in run_suite("all", [2], 3).results if not r.passed}
+    assert {name for name, _ in failed} == {check} | also
+    assert failed[check, 2] == "2 images vs 3 rooted"
+    assert failed[check, 3] == "19 images vs 20 rooted"
 
 
 # -- faults in the shared bijections ---------------------------------------------
@@ -445,13 +476,14 @@ def _tree_with_a_loose_vertex():
     return m, image, multisets.multiset_to_ornament(m)
 
 
+def _rotated(m):
+    """Multiset m stored from the second label of its cycle instead of the smallest."""
+    return trusted(multisets.CyclicMultiset, k=m.k, cycle=m.cycle[1:] + m.cycle[:1], f=m.f)
+
+
 def _rotated_encoding(encode, items):
-    """The first item, and its multiset encoding stored from the second
-    label of its cycle instead of the smallest."""
-    x = items[0]
-    m = encode(x)
-    image = trusted(multisets.CyclicMultiset, k=m.k, cycle=m.cycle[1:] + m.cycle[:1], f=m.f)
-    return x, image, x
+    """The first item, and its multiset encoding, rotated."""
+    return items[0], _rotated(encode(items[0])), items[0]
 
 
 # each bijection, the pick of its invalid image, the checks that must fail
@@ -514,6 +546,59 @@ def test_rank_rejects_an_invalid_encoding(which):
         multisets.multiset_rank(image)
 
 
+def test_invalid_images_are_counted_in_linear_time(monkeypatch):
+    """A range check counts the images it cannot rank by hash, not by
+    comparing each with every earlier one: with every ornament's image
+    rotated, that took 22,138 comparisons at (2, 4)."""
+    real = multisets.ornament_to_multiset
+    monkeypatch.setattr(multisets, "ornament_to_multiset", lambda o: _rotated(real(o)))
+    compared = Counter()
+
+    def counted(self, other, _real=multisets.CyclicMultiset.__eq__):
+        compared["eq"] += 1
+        return _real(self, other)
+
+    monkeypatch.setattr(multisets.CyclicMultiset, "__eq__", counted)
+    failed = {(r.name, r.n): r.message
+              for r in run_suite("bijections", [2], 4).results if not r.passed}
+    assert failed == {("ornament-encoding-range", n): f"{rooted} images vs {rooted} rooted"
+                      for n, rooted in ((2, 3), (3, 20), (4, 210))}
+    assert compared["eq"] <= sum(catalan.count_ornaments(2, n) for n in range(1, 5))
+
+
+def _listed_parts(x):
+    """x, a field or forest, with its parts stored as a list, which cannot hash."""
+    return trusted(type(x), parts=list(x.parts))
+
+
+@pytest.mark.parametrize("module, attr, sources, check", [
+    (paths, "decompose", lambda: paths.enumerate_paths(K, range(1, N + 1)),
+     "path-field-roundtrip"),
+    (trees, "tree_to_forest", lambda: trees.enumerate_trees(K, range(1, N + 1)),
+     "tree-forest-roundtrip"),
+], ids=["decompose", "tree_to_forest"])
+def test_an_unhashable_image_is_counted_by_equality(monkeypatch, capsys, module, attr,
+                                                    sources, check):
+    """A failed roundtrip has its map's images counted; an image that
+    cannot hash is compared by equality, so the run ends in a report."""
+    x0 = sources()[0]
+    _send(monkeypatch, module, attr, x0, _listed_parts(getattr(module, attr)(x0)))
+    assert set(_failing("bijections")) == {(check, K, N)}
+    code, out, err = main(["verify", "--suite", "all", "--max-n", str(N)]), *capsys.readouterr()
+    assert (code, err) == (1, "") and "\nsuite all: FAIL (" in out
+
+
+def test_distinct_images_are_counted_by_equality():
+    """A field whose parts are a set equals the field of the same parts as
+    a frozenset, though only the second can hash; one stored as a list
+    equals neither."""
+    f = paths.decompose(paths.enumerate_paths(K, range(1, N + 1))[0])
+    as_set = trusted(paths.MinimalField, parts=set(f.parts))
+    assert as_set == f
+    assert verify._distinct([f, as_set, _listed_parts(f), as_set, f]) == 2
+    assert verify._distinct([as_set, f, _listed_parts(f)]) == 2
+
+
 # -- unreadable images ------------------------------------------------------------
 # An encoder image the decoders cannot read: a multiset whose f lacks a
 # cycle label, or a valid multiset with no root vertices. It fails every
@@ -572,11 +657,12 @@ def test_an_unreadable_image_fails_the_checks_that_read_it(monkeypatch, capsys, 
 
 
 # -- faults behind the ornament pass's reading of the cycle-tree pass ------------
-# The ornament pass takes the composed checks' verdicts from the cycle-tree
-# pass where that pass decoded an equal multiset back to a valid tree whose
-# cycle is the root vertices. Each fault below breaks one of those
-# conditions without breaking the others, and must still fail the checks
-# it fails when every ornament's image is decoded.
+# The ornament pass takes the composed checks' verdicts on a rooted image
+# from its own checks once the cycle-tree pass has decoded every image back
+# to its valid tree, whose cycle is the image's root vertices, and the tree
+# range check has passed. Each fault below breaks one of those conditions
+# without breaking the others, and must still fail the checks it fails
+# when every ornament's image is decoded.
 
 
 def _extra_root(monkeypatch):
