@@ -39,21 +39,17 @@ _ENUMERATORS = {
 }
 STRUCTURES = tuple(_ENUMERATORS)
 
-# one-step conversions; map routes along the shortest chain of these
-_CONVERSIONS = {
-    ("path", "field"): paths.decompose,
-    ("field", "path"): paths.recompose,
-    ("path", "ornament"): paths.to_ornament,
-    ("ornament", "path"): lambda o: o.rep,
-    ("ornament", "multiset"): multisets.ornament_to_multiset,
-    ("multiset", "ornament"): multisets.multiset_to_ornament,
-    ("cycle-tree", "multiset"): multisets.cycle_tree_to_multiset,
-    ("multiset", "cycle-tree"): multisets.multiset_to_cycle_tree,
-    ("tree", "forest"): trees.tree_to_forest,
-    ("forest", "tree"): trees.forest_to_tree,
-    ("tree", "cycle-tree"): trees.to_cycle_rooted,
-    ("cycle-tree", "tree"): trees.to_root_minimal,
-}
+# the bijections between kinds, each with its inverse: (a, b, a -> b, b -> a);
+# map routes along the shortest chain of these, walked either way
+_MAPS = (
+    ("path", "field", paths.decompose, paths.recompose),
+    ("path", "ornament", paths.to_ornament, lambda o: o.rep),
+    ("ornament", "multiset", multisets.ornament_to_multiset, multisets.multiset_to_ornament),
+    ("cycle-tree", "multiset", multisets.cycle_tree_to_multiset,
+     multisets.multiset_to_cycle_tree),
+    ("tree", "forest", trees.tree_to_forest, trees.forest_to_tree),
+    ("tree", "cycle-tree", trees.to_cycle_rooted, trees.to_root_minimal),
+)
 
 _TARGET_ALIASES = {"minimal-field": "field", "minimal-forest": "forest"}
 
@@ -64,14 +60,14 @@ def _route(source: str, target: str) -> list:
         return []
     frontier = [(source, [])]
     seen = {source}
-    while frontier:
-        kind, chain = frontier.pop(0)
-        for (a, b), fn in _CONVERSIONS.items():
-            if a == kind and b not in seen:
-                if b == target:
-                    return chain + [fn]
-                seen.add(b)
-                frontier.append((b, chain + [fn]))
+    for kind, chain in frontier:  # breadth first: the list grows behind the loop
+        for a, b, there, back in _MAPS:
+            for here, step, fn in ((a, b, there), (b, a, back)):
+                if here == kind and step not in seen:
+                    if step == target:
+                        return chain + [fn]
+                    seen.add(step)
+                    frontier.append((step, chain + [fn]))
     raise ValueError(f"no conversion from {source!r} to {target!r}")
 
 

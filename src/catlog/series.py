@@ -178,14 +178,13 @@ def catalan_series(k: int, order: int) -> Series:
     """Generating function of generalized Catalan numbers, truncated.
 
     The unique series G with constant term 1 satisfying G = 1 + x*G^k.
-    If g holds G exactly to order m-1, padded with a zero x^m coefficient,
-    then 1 + x*g^k holds it exactly to order m, since its x^m coefficient
-    reads only g_0 .. g_(m-1); so round m multiplies at order m only.
+    If g holds G exactly to order m-1, so does g^k, and 1 + x*g^k holds it
+    exactly to order m, since its x^m coefficient reads only g^k's x^(m-1);
+    so round m prepends 1 to g^k, multiplying at order m-1 only.
     """
     check_ints("catalan_series needs k >= 1", (k, 1))
     check_ints("order must be >= 0", (order, 0))
     g = Series.one(0)
-    for m in range(1, order + 1):
-        padded = _series(g.coeffs + (Fraction(0),))
-        g = Series.one(m) + Series.x(m) * padded**k
+    for _ in range(order):
+        g = _series((Fraction(1),) + (g**k).coeffs)
     return g

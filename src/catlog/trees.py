@@ -224,33 +224,52 @@ def _slot_search(k: int, labels: tuple[int, ...], roots, hold_rightmost: bool):
     `hold_rightmost` keeps the roots' rightmost slots vacant.
 
     Backtracking over the open slots in that order, in O(nk) state: a slot
-    tries vacancy, unless the slots left could not hold every unplaced
-    vertex, then each unplaced non-root vertex in increasing order but the
-    top of its row's chain of parents, which would close a cycle."""
+    tries vacancy, then each unplaced non-root vertex in increasing order
+    but the top of its row's chain of parents, which would close a cycle.
+    A choice stands only if every vertex is placed after it, or the slots
+    left can hold every unplaced vertex and one of them belongs to a vertex
+    joined to a root: then the vertices hanging from a later slot attach
+    first, each part adding a slot as it takes one, and the rest after
+    them, so every choice that stands leads to a table."""
     n = len(labels)
     parent = [-2 if v in roots else -1 for v in labels]  # -2 a root, -1 unplaced
     open_at = [i * k + q for i in range(n) for q in range(k)
                if not (hold_rightmost and parent[i] == -2 and q == k - 1)]
+    last = [0] * n  # the position of each vertex's last open slot, increasing
+    for pos, slot in enumerate(open_at):
+        last[slot // k] = pos
+    # the largest vertex below each unplaced vertex, itself included, and
+    # at n the largest joined to a root
+    high = [*range(n), max(i for i in range(n) if parent[i] == -2)]
+    left = parent.count(-1)
     out: list[int | None] = [None] * (n * k)  # the rows, one after another
     choice = [-2] * (len(open_at) + 1)  # -2 untried, -1 vacant, else a vertex index
+    undo: list = [None] * len(open_at)  # where a placement raised `high`, and from what
     pos = 0
     while pos >= 0:
         c = choice[pos]
         if c >= 0:  # take back the vertex placed here
             parent[c] = -1
-        elif c == -2 and -1 not in parent:  # a table: the slots left stay vacant
+            left += 1
+            side, was = undo[pos]
+            high[side] = was
+        elif c == -2 and not left:  # a table: the slots left stay vacant
             yield dict(zip(labels, zip(*[iter(out)] * k)))
             pos -= 1
             continue
-        elif c == -2 and parent.count(-1) < len(open_at) - pos:  # room stays for the rest
+        elif c == -2 and left < len(open_at) - pos and last[high[n]] > pos:  # a table can follow
             choice[pos] = -1
             pos += 1
             continue
         top = row = open_at[pos] // k
         while parent[top] >= 0:
             top = parent[top]
+        side = n if parent[top] == -2 else top  # the part a vertex placed here joins
+        # a table can follow any vertex placed here, or only one that joins
+        # a later slot to a root
+        joined = left == 1 or last[high[n]] > pos
         for c in range(c + 1 if c >= 0 else 0, n):
-            if parent[c] == -1 and c != top:
+            if parent[c] == -1 and c != top and (joined or side == n and last[high[c]] > pos):
                 break
         else:  # no vertex is left to try here: vacant and untried again
             choice[pos] = -2
@@ -258,6 +277,10 @@ def _slot_search(k: int, labels: tuple[int, ...], roots, hold_rightmost: bool):
             pos -= 1
             continue
         parent[c] = row
+        left -= 1
+        undo[pos] = side, high[side]
+        if high[c] > high[side]:
+            high[side] = high[c]
         choice[pos] = c
         out[open_at[pos]] = labels[c]
         pos += 1

@@ -125,12 +125,21 @@ def suite_series(ks, max_n: int) -> list[CheckResult]:
 
 @lru_cache(maxsize=32)
 def _grid_structures(k: int, n: int, max_count):
-    """How many cyclic multisets one grid point has, and how many have root
-    vertices, from one walk that keeps no structure. bench/worker.py reads
+    """The length of one grid point's multiset walk, how many of its steps
+    bring a multiset greater than the one before (the walk is in rank
+    order: a repeat goes uncounted), and how many of those have root
+    vertices; from one walk that keeps no structure. bench/worker.py reads
     this cache's statistics, which is why the cache and the name stay."""
-    rooted = Counter(bool(multisets.root_vertices(m))
-                     for m in multisets._multisets(k, n, max_count))
-    return rooted.total(), rooted[True]
+    walked = n_ms = n_rooted = 0
+    last = ()
+    for m in multisets._multisets(k, n, max_count):
+        walked += 1
+        key = (m.cycle, *m.f.values())  # rank order is this key's order
+        if key > last:
+            n_ms += 1
+            n_rooted += bool(multisets.root_vertices(m))
+        last = key
+    return walked, n_ms, n_rooted
 
 
 def _check_all(name, k, n, bad) -> CheckResult:
@@ -202,9 +211,9 @@ class _Range:
     grid point: one byte per multiset rank, 1 at the rank of each image
     that is a rooted multiset of the point, and a list of the others."""
 
-    def __init__(self, k: int, n: int, n_ms: int):
+    def __init__(self, k: int, n: int, walked: int):
         self.k, self.n = k, n
-        self.seen = bytearray(n_ms)
+        self.seen = bytearray(walked)
         self.others: list = []
 
     def add(self, m, least) -> bool:
@@ -238,7 +247,10 @@ def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResu
     rightmost branches are walked once per structure, and a forest's parts
     again only if it fails its in-place check. A pass keeps
     counts, distributions, the first counterexample of each for-all check
-    in walk order, and a range check's byte per multiset rank. Where every
+    in walk order, and a range check's byte per multiset rank. The multiset
+    and plane-tree counts take only the steps that go up in their walk's
+    order, so a repeated structure fails them as a repeated ornament or
+    cycle tree fails its range check; a repeated field is not seen. Where every
     cycle tree decodes back from its image, valid, with the image's roots
     as its cycle, and the images are the rooted multisets, the ornament
     pass takes the composed checks' verdicts on a rooted image from its
@@ -251,7 +263,7 @@ def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResu
     first: dict = {}  # check name -> its first counterexample
     fail = first.setdefault
     if counts or bijections:
-        n_ms, n_rooted = _grid_structures(k, n, max_count)
+        walked, n_ms, n_rooted = _grid_structures(k, n, max_count)
 
     n_paths = 0
     word_dist: Counter = Counter()
@@ -266,8 +278,13 @@ def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResu
             word_dist[len(touches)] += 1
 
     n_trees = n_min_trees = 0
+    last = ()
     for t in trees._trees(k, labels, max_count) if counts or bijections else ():
-        n_trees += 1
+        # the walk is in (root, rows) order, a vacancy before any occupant:
+        # a step that does not go up repeats a tree and goes uncounted
+        key = (t.root, *[v or 0 for row in t.slots.values() for v in row])
+        n_trees += key > last
+        last = key
         branch = trees.rightmost_branch(t)
         minimal = min(branch) == t.root
         n_min_trees += minimal
@@ -291,7 +308,7 @@ def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResu
     # an image checks it
     n_cycle_trees = 0
     cycle_dist: Counter = Counter()
-    tree_range = _Range(k, n, n_ms) if bijections else None
+    tree_range = _Range(k, n, walked) if bijections else None
     trees_back = True  # each tree came back from its image equal and valid, its cycle the roots
     for c in trees._cycle_rooted(k, n, max_count):
         n_cycle_trees += 1
@@ -322,7 +339,7 @@ def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResu
 
     n_ornaments = 0
     touch_dist: Counter = Counter()
-    ornament_range = _Range(k, n, n_ms) if bijections else None
+    ornament_range = _Range(k, n, walked) if bijections else None
     for o in paths._ornaments(k, n, max_count):
         n_ornaments += 1
         if not (bijections or statistics):

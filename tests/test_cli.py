@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import catlog.catalan
-from catlog import serialize
+from catlog import cli, multisets, paths, serialize, trees
 from catlog.cli import main
 from catlog.multisets import CyclicMultiset
 from catlog.paths import GoodPath, MinimalField, to_ornament
@@ -324,6 +324,108 @@ class TestMap:
         assert code == 0
         assert json.loads(dst.read_text())["labels"] == [4]
 
+
+def _every_structure(k: int, n: int) -> dict:
+    """Every structure of each kind that `catlog map` converts, on labels
+    1..n: the multisets with root vertices only, the forests as the trees' images."""
+    labels = range(1, n + 1)
+    plane = trees.enumerate_trees(k, labels)
+    return {
+        "path": paths.enumerate_paths(k, labels),
+        "field": [f for a in labels for f in paths.enumerate_fields(k, n, a)],
+        "ornament": paths.enumerate_ornaments(k, n),
+        "multiset": [m for m in multisets.enumerate_multisets(k, n) if multisets.root_vertices(m)],
+        "cycle-tree": trees.enumerate_cycle_rooted(k, n),
+        "tree": plane,
+        "forest": [trees.tree_to_forest(t) for t in plane],
+    }
+
+
+# where a map is defined on part of its source kind only: an ornament is
+# read off a label-minimal path, a cycle bent from a root-minimal tree
+_DOMAIN = {paths.to_ornament: paths.is_label_minimal, trees.to_cycle_rooted: trees.is_root_minimal}
+
+
+@pytest.mark.parametrize("k, n", [(2, 4), (3, 3)])
+def test_each_map_is_undone_by_its_inverse(k, n):
+    every = _every_structure(k, n)
+    for a, b, there, back in cli._MAPS:
+        for source, target, fn, inverse in ((a, b, there, back), (b, a, back, there)):
+            domain = _DOMAIN.get(fn)
+            xs = [x for x in every[source] if domain is None or domain(x)]
+            assert xs, (source, fn)
+            for x in xs:
+                y = fn(x)
+                assert serialize.KINDS[type(y)] == target
+                assert inverse(y) == x, (fn.__name__, x)
+
+
+# the chain of maps `catlog map` takes from each kind to each other kind
+ROUTES = """
+path field: decompose
+path ornament: to_ornament
+path tree: to_ornament ornament_to_multiset multiset_to_cycle_tree to_root_minimal
+path forest: to_ornament ornament_to_multiset multiset_to_cycle_tree to_root_minimal tree_to_forest
+path cycle-tree: to_ornament ornament_to_multiset multiset_to_cycle_tree
+path multiset: to_ornament ornament_to_multiset
+field path: recompose
+field ornament: recompose to_ornament
+field tree: recompose to_ornament ornament_to_multiset multiset_to_cycle_tree to_root_minimal
+field forest: recompose to_ornament ornament_to_multiset multiset_to_cycle_tree to_root_minimal
+    tree_to_forest
+field cycle-tree: recompose to_ornament ornament_to_multiset multiset_to_cycle_tree
+field multiset: recompose to_ornament ornament_to_multiset
+ornament path: rep
+ornament field: rep decompose
+ornament tree: ornament_to_multiset multiset_to_cycle_tree to_root_minimal
+ornament forest: ornament_to_multiset multiset_to_cycle_tree to_root_minimal tree_to_forest
+ornament cycle-tree: ornament_to_multiset multiset_to_cycle_tree
+ornament multiset: ornament_to_multiset
+tree path: to_cycle_rooted cycle_tree_to_multiset multiset_to_ornament rep
+tree field: to_cycle_rooted cycle_tree_to_multiset multiset_to_ornament rep decompose
+tree ornament: to_cycle_rooted cycle_tree_to_multiset multiset_to_ornament
+tree forest: tree_to_forest
+tree cycle-tree: to_cycle_rooted
+tree multiset: to_cycle_rooted cycle_tree_to_multiset
+forest path: forest_to_tree to_cycle_rooted cycle_tree_to_multiset multiset_to_ornament rep
+forest field: forest_to_tree to_cycle_rooted cycle_tree_to_multiset multiset_to_ornament rep
+    decompose
+forest ornament: forest_to_tree to_cycle_rooted cycle_tree_to_multiset multiset_to_ornament
+forest tree: forest_to_tree
+forest cycle-tree: forest_to_tree to_cycle_rooted
+forest multiset: forest_to_tree to_cycle_rooted cycle_tree_to_multiset
+cycle-tree path: cycle_tree_to_multiset multiset_to_ornament rep
+cycle-tree field: cycle_tree_to_multiset multiset_to_ornament rep decompose
+cycle-tree ornament: cycle_tree_to_multiset multiset_to_ornament
+cycle-tree tree: to_root_minimal
+cycle-tree forest: to_root_minimal tree_to_forest
+cycle-tree multiset: cycle_tree_to_multiset
+multiset path: multiset_to_ornament rep
+multiset field: multiset_to_ornament rep decompose
+multiset ornament: multiset_to_ornament
+multiset tree: multiset_to_cycle_tree to_root_minimal
+multiset forest: multiset_to_cycle_tree to_root_minimal tree_to_forest
+multiset cycle-tree: multiset_to_cycle_tree
+"""
+
+
+def test_route_takes_each_chain():
+    # an indented line goes on with the chain above it
+    want = dict(line.split(": ") for line in ROUTES.replace("\n    ", " ").strip().splitlines())
+    ornament = to_ornament(GoodPath(2, "RU", (1,)))
+
+    def name(fn):  # the one map without a name reads an ornament's representative
+        if fn.__name__ != "<lambda>":
+            return fn.__name__
+        assert fn(ornament) is ornament.rep
+        return "rep"
+
+    kinds = serialize.KINDS.values()
+    assert len(want) == len(kinds) * (len(kinds) - 1)
+    for source in kinds:
+        for target in kinds:
+            got = " ".join(map(name, cli._route(source, target)))
+            assert got == want.get(f"{source} {target}", ""), (source, target)
 
 SINGLE_PATH = '{"kind":"path","k":2,"steps":"RU","labels":[1]}'
 SINGLE_TREE = '{"kind":"tree","k":2,"root":1,"slots":{"1":[null,null]}}'

@@ -1,5 +1,14 @@
+import inspect
+import itertools
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+from catlog import trees
 from catlog.catalan import count_ornaments, count_paths
 from catlog.errors import ResourceCapError
 from catlog.trees import (
@@ -308,24 +317,89 @@ def _rows_key(slots):
     return tuple((v, tuple(-1 if c is None else c for c in row)) for v, row in slots.items())
 
 
+def _increasing(keys) -> bool:
+    return all(a < b for a, b in zip(keys, keys[1:]))
+
+
 class TestPublicOrder:
-    """The search yields each picture already sorted: plane trees by root,
-    then rows; cycle-rooted trees by cycle tuple, then rows."""
+    """The search yields each picture already sorted, each structure once:
+    plane trees by root, then rows; cycle-rooted trees by cycle tuple,
+    then rows."""
 
     @pytest.mark.parametrize("k, n", GRID, ids=[f"k{k}-n{n}" for k, n in GRID])
     def test_trees_come_sorted(self, k, n):
         got = enumerate_trees(k, range(1, n + 1))
         assert len(got) == count_paths(k, n)
-        assert got == sorted(got, key=lambda t: (t.root, _rows_key(t.slots)))
+        assert _increasing([(t.root, _rows_key(t.slots)) for t in got])
 
     @pytest.mark.parametrize("k, n", GRID, ids=[f"k{k}-n{n}" for k, n in GRID])
     def test_cycle_trees_come_sorted(self, k, n):
         got = enumerate_cycle_rooted(k, n)
         assert len(got) == count_ornaments(k, n)
-        assert got == sorted(got, key=lambda c: (c.cycle, _rows_key(c.slots)))
+        assert _increasing([(c.cycle, _rows_key(c.slots)) for c in got])
 
     def test_labels_need_not_be_consecutive(self):
         got = enumerate_trees(3, [20, 3, 10])
         assert len(got) == count_paths(3, 3)
-        assert got == sorted(got, key=lambda t: (t.root, _rows_key(t.slots)))
+        assert _increasing([(t.root, _rows_key(t.slots)) for t in got])
         assert {t.root for t in got} == {3, 10, 20}
+
+
+@pytest.mark.parametrize("walk", [
+    "trees._trees(2, range(1, 41), None)", "trees._cycle_rooted(3, 40, None)",
+], ids=["trees", "cycle-trees"])
+def test_the_first_structures_of_a_large_walk_come_at_once(walk):
+    """The slot search keeps a choice only if a table can follow it. A
+    search that also tried choices with no table after them took 4.0 s for
+    the first plane tree on 8 labels, and found none on 10 within 290 s, so
+    the walk is timed in a child process that is stopped after 20 s."""
+    code = textwrap.dedent(f"""\
+        import itertools, time
+        from catlog import trees
+        start = time.perf_counter()
+        got = list(itertools.islice({walk}, 100))
+        print(time.perf_counter() - start)
+        assert len(got) == 100
+        for x in got:  # each passes its public constructor
+            assert type(x)(**{{f: getattr(x, f) for f in x._fields}}) == x
+        """)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, timeout=20)
+    assert child.returncode == 0, child.stderr
+    assert float(child.stdout) < 1
+
+
+def _search_steps(walk) -> tuple[int, int]:
+    """How many times the slot search's loop starts a step while `walk`
+    runs, counted by tracing its lines (machine-independent work), and how
+    many structures the walk yields."""
+    code = trees._slot_search.__code__
+    lines, first = inspect.getsourcelines(trees._slot_search)
+    step = first + next(i for i, line in enumerate(lines) if line.strip() == "c = choice[pos]")
+    steps = 0
+
+    def local(frame, event, arg):
+        nonlocal steps
+        steps += event == "line" and frame.f_lineno == step
+        return local
+
+    before = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        count = sum(1 for _ in walk)
+    finally:
+        sys.settrace(before)
+    return steps, count
+
+
+@pytest.mark.parametrize("walk, per_structure", [
+    (lambda: trees._trees(2, range(1, 6), None), 5.4),
+    (lambda: trees._trees(3, range(1, 5), None), 5.2),
+    (lambda: trees._cycle_rooted(2, 5, None), 6.0),
+], ids=["trees-k2-n5", "trees-k3-n4", "cycle-trees-k2-n5"])
+def test_the_slot_search_takes_few_steps_per_structure(walk, per_structure):
+    """A search that also tried choices with no table after them took 7.39,
+    6.81 and 8.78 steps per structure; the cut leaves 5.37, 5.13 and 5.95."""
+    steps, count = _search_steps(walk())
+    assert steps <= per_structure * count

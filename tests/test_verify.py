@@ -8,6 +8,7 @@ import itertools
 import json
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +54,26 @@ PINNED_GRID = {
 def test_pinned_grid_reports(k, n):
     report = json.dumps(run_suite("all", [k], n).to_json())
     assert hashlib.sha256(report.encode("utf-8")).hexdigest() == PINNED_GRID[k, n]
+
+
+# the (check, k, n) triples the benchmark expects in its reports: bench/worker.py
+# refuses a run whose report lacks one of them
+BENCH_CHECKS = json.loads(
+    (Path(__file__).resolve().parents[1] / "bench" / "checks.json").read_text())
+
+
+@pytest.mark.parametrize("job", ["grid-2", "grid-3", "grid-4", "coeff"])
+def test_every_check_the_benchmark_expects_is_made(job):
+    if job == "coeff":
+        want = BENCH_CHECKS["coeff"]
+        report = run_suite("series", [2, 3, 5], 30)
+    else:
+        k = int(job.removeprefix("grid-"))
+        want = BENCH_CHECKS["grid"][str(k)]
+        report = run_suite("all", [k], max(n for _, _, n in want if n is not None))
+    assert want
+    made = {(r.name, r.k, r.n) for r in report.results}
+    assert [c for c in want if tuple(c) not in made] == []
 
 
 def test_unknown_suite():
@@ -215,21 +236,30 @@ def _first_for_last(walk):
     return walked
 
 
-@pytest.mark.parametrize("module, walk, check, also", [
-    (trees, "_cycle_rooted", "cycle-tree-encoding-range", set()),
-    (paths, "_ornaments", "ornament-encoding-range", {"touch-distribution"}),
-], ids=["cycle-trees", "ornaments"])
-def test_a_walk_that_repeats_a_structure_fails_its_range_check(monkeypatch, module, walk,
-                                                              check, also):
-    """The ranks are verify's test that these walks yield distinct
-    structures: a walk that yields its first structure twice and its last
-    never keeps every count and roundtrip, so checks that count images
-    instead of marking their ranks pass it."""
+@pytest.mark.parametrize("module, walk, check, also, at_2, at_3", [
+    (trees, "_cycle_rooted", "cycle-tree-encoding-range", set(),
+     "2 images vs 3 rooted", "19 images vs 20 rooted"),
+    (paths, "_ornaments", "ornament-encoding-range", {"touch-distribution"},
+     "2 images vs 3 rooted", "19 images vs 20 rooted"),
+    (trees, "_trees", "tree-count", set(), "4 vs 3", "30 vs 29"),
+    (multisets, "_multisets", "multiset-count",
+     {"rooted-multiset-count", "ornament-encoding-range", "cycle-tree-encoding-range"},
+     "3 vs 2", "20 vs 19"),
+], ids=["cycle-trees", "ornaments", "trees", "multisets"])
+def test_a_walk_that_repeats_a_structure_fails_a_check(monkeypatch, module, walk, check,
+                                                       also, at_2, at_3):
+    """A walk that yields its first structure twice and its last never
+    keeps every roundtrip. The ranks catch it in the cycle-tree and
+    ornament walks; the plane trees and multisets come in a known order,
+    and a step that does not go up is not counted. The field walk is not
+    covered: `paths._fields` so changed passes every check."""
+    verify._grid_structures.cache_clear()
     monkeypatch.setattr(module, walk, _first_for_last(getattr(module, walk)))
     failed = {(r.name, r.n): r.message for r in run_suite("all", [2], 3).results if not r.passed}
+    verify._grid_structures.cache_clear()
     assert {name for name, _ in failed} == {check} | also
-    assert failed[check, 2] == "2 images vs 3 rooted"
-    assert failed[check, 3] == "19 images vs 20 rooted"
+    assert failed[check, 2] == at_2
+    assert failed[check, 3] == at_3
 
 
 # -- faults in the shared bijections ---------------------------------------------
