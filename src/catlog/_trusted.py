@@ -1,14 +1,44 @@
-"""The frozen record base and the trusted constructor of catlog's structures and series."""
+"""The frozen record base and the trusted constructor of catlog's
+structures and series. Each record class gets its `__init__`, `__eq__`
+and `__hash__` as closures over its fields; no source is generated."""
 
-# the methods each record class compiles once, reading its fields directly
-_METHODS = """\
-def __init__(self{params}):
-    {body}
-def __eq__(self, other):
-    return {mine} == {theirs} if other.__class__ is self.__class__ else NotImplemented
-def __hash__(self):
-    return hash({mine})
-"""
+from operator import attrgetter
+
+_setattr = object.__setattr__
+
+
+def _bind(cls, args, kwargs) -> tuple:
+    """The field values of a call that is not plainly positional, or the
+    TypeError, in Python's words, of a call of `__init__(self, *fields)`
+    with the class's defaults."""
+    fields, defaults = cls._fields, cls._defaults
+    lo = len(fields) - len(defaults)
+    call = f"{cls.__qualname__}.__init__()"
+    given = dict(zip(fields, args))
+    for name, value in kwargs.items():
+        if name in given or name not in fields:
+            what = "multiple values for" if name in given else "an unexpected keyword"
+            raise TypeError(f"{call} got {what} argument {name!r}")
+        given[name] = value
+    if len(args) > len(fields):
+        takes = f"from {lo + 1} to " * bool(defaults) + f"{len(fields) + 1} positional argument"
+        raise TypeError(f"{call} takes {takes}{'s' * bool(fields)} but {len(args) + 1} were given")
+    missing = [repr(f) for f in fields[:lo] if f not in given]
+    if missing:
+        names = (", ".join(missing[:-1]) + "," * (len(missing) > 2)
+                 + " and " * (len(missing) > 1) + missing[-1])
+        raise TypeError(f"{call} missing {len(missing)} required positional "
+                        f"argument{'s' * (len(missing) > 1)}: {names}")
+    return tuple(given.get(f, d) for f, d in zip(fields, (None,) * lo + defaults))
+
+
+def _lone(fields: tuple):
+    """The field tuple of a record with one field or none, which an
+    attrgetter would give bare or refuse to build."""
+    if not fields:
+        return lambda self: ()
+    one = attrgetter(*fields)
+    return lambda self: (one(self),)
 
 
 class Record:
@@ -18,24 +48,68 @@ class Record:
     `__post_init__` if it has one. A record equals only a record of its
     own class with equal fields. A field annotated `dict[...]` is a
     table: eq and hash read a dict there as the tuple of its items, so
-    its rows count in order. Assignment and deletion raise AttributeError."""
+    its rows count in order. Assignment and deletion raise AttributeError.
+    `__init__`, `__eq__` and `__hash__` are closures that each class
+    makes over its own fields, so defining a record compiles nothing:
+    `__init__` stores each field, `__eq__` compares the instance
+    dicts, which hold exactly the fields, and `__hash__` hashes the
+    field tuple that an `operator.attrgetter` reads."""
 
     def __init_subclass__(cls):
         super().__init_subclass__()
         annotations = vars(cls).get("__annotations__", {})
         cls._fields = fields = tuple(annotations)
-        params = "".join(f", {f}=_cls.{f}" if f in vars(cls) else f", {f}" for f in fields)
-        body = [f"_setattr(self, {f!r}, {f})" for f in fields]
-        body.append("self.__post_init__()" if hasattr(cls, "__post_init__") else "pass")
-        read = [f"(tuple(self.{f}.items()) if type(self.{f}) is dict else self.{f})"
-                if str(annotations[f]).startswith("dict[") else f"self.{f}" for f in fields]
-        mine = f"({''.join(f'{r}, ' for r in read)})"
-        space = {"_cls": cls, "_setattr": object.__setattr__}
-        exec(_METHODS.format(params=params, body="\n    ".join(body), mine=mine,
-                             theirs=mine.replace("self.", "other.")), space)
-        for name in ("__init__", "__eq__", "__hash__"):
-            space[name].__qualname__ = f"{cls.__qualname__}.{name}"
-            setattr(cls, name, space[name])
+        cls._defaults = defaults = tuple(vars(cls)[f] for f in fields if f in vars(cls))
+        lo = len(fields) - len(defaults)
+        if not all(f in vars(cls) for f in fields[lo:]):
+            raise TypeError(f"{cls.__qualname__}: a field without a default follows a default")
+        post = hasattr(cls, "__post_init__")
+        tails = {lo + j: defaults[j:] for j in range(len(defaults) + 1)}  # by argument count
+
+        def __init__(self, *args, **kwargs):
+            tail = tails.get(len(args))
+            if kwargs or tail is None:
+                args, tail = _bind(cls, args, kwargs), ()
+            # one store per field, not `self.__dict__.update`: CPython 3.11 and 3.12
+            # read fields more slowly once the instance dict is built. The stores
+            # return None, so any() runs them all.
+            any(map(_setattr.__get__(self), fields, args + tail))
+            if post:
+                self.__post_init__()
+
+        get = attrgetter(*fields) if len(fields) > 1 else _lone(fields)
+        tables = [i for i, f in enumerate(fields) if str(annotations[f]).startswith("dict[")]
+        if not tables:
+            def __eq__(self, other):
+                return (self.__dict__ == other.__dict__ if other.__class__ is self.__class__
+                        else NotImplemented)
+
+            def __hash__(self):
+                return hash(get(self))
+        else:
+            (i,) = tables  # one table per record
+            rows = attrgetter(fields[i])
+
+            def key(self):
+                values = [*get(self)]
+                if type(values[i]) is dict:
+                    values[i] = tuple(values[i].items())
+                return tuple(values)
+
+            def __eq__(self, other):
+                if other.__class__ is not self.__class__:
+                    return NotImplemented
+                mine, theirs = rows(self), rows(other)
+                if type(mine) is dict and type(theirs) is dict:  # equal rows, in the same order
+                    return self.__dict__ == other.__dict__ and [*mine] == [*theirs]
+                return key(self) == key(other)
+
+            def __hash__(self):
+                return hash(key(self))
+
+        for method in (__init__, __eq__, __hash__):
+            method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+            setattr(cls, method.__name__, method)
 
     def __repr__(self):
         shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)

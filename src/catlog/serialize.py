@@ -54,17 +54,20 @@ def _slots_from_obj(obj) -> list:
     return [(v, tuple(map(_int, row))) for v, row in rows]
 
 
-def _parts(values) -> list:
-    """The parts of a field or forest; the constructor checks their kind."""
+def _parts(values, kind: str) -> list:
+    """The parts of a field or forest: each object of the part kind `kind`
+    read, any other value handed on as it is for the constructor to
+    refuse. So reading nests two structures deep at most, and a part
+    nested in a part gets the same message on every interpreter."""
     if not isinstance(values, list):
         raise ValueError("parts must be a list")
-    return [from_obj(p) for p in values]
+    return [from_obj(p) if type(p) is dict and p.get("kind") == kind else p for p in values]
 
 
 # the reader of each declared field's JSON value; the constructor judges what it reads
 _READERS = {
     "k": _int, "root": _int, "steps": lambda steps: steps, "slots": _slots_from_obj,
-    "labels": lambda labels: _ints(labels, "labels"), "parts": _parts,
+    "labels": lambda labels: _ints(labels, "labels"),
     "cycle": lambda cycle: _ints(cycle, "cycle"),
     "f": lambda f: [(v, _ints(vec, "each vector of f")) for v, vec in _keyed(f, "f")],
 }
@@ -83,6 +86,9 @@ _TYPES = {kind: cls for cls, kind in KINDS.items()}
 
 # the order a field's and a forest's parts are written in
 _PART_ORDER = {MinimalField: lambda p: (p.steps, p.labels), RootMinimalForest: lambda t: t.root}
+
+# the kind of the parts a field and a forest read
+_PART_KIND = {MinimalField: "path", RootMinimalForest: "tree"}
 
 
 def to_obj(x) -> dict:
@@ -117,7 +123,8 @@ def from_obj(obj):
         raise ValueError(f"unknown kind {kind!r}")
     record = GoodPath if cls is Ornament else cls
     try:
-        x = record(*[_READERS[field](obj[field]) for field in record._fields])
+        x = record(*[_parts(obj[field], _PART_KIND[record]) if field == "parts"
+                     else _READERS[field](obj[field]) for field in record._fields])
     except KeyError as exc:
         raise ValueError(f"{kind} object is missing field {exc}") from exc
     return Ornament(x) if cls is Ornament else x

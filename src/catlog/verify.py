@@ -125,21 +125,20 @@ def suite_series(ks, max_n: int) -> list[CheckResult]:
 
 @lru_cache(maxsize=32)
 def _grid_structures(k: int, n: int, max_count):
-    """The length of one grid point's multiset walk, how many of its steps
-    bring a multiset greater than the one before (the walk is in rank
-    order: a repeat goes uncounted), and how many of those have root
-    vertices; from one walk that keeps no structure. bench/worker.py reads
-    this cache's statistics, which is why the cache and the name stay."""
-    walked = n_ms = n_rooted = 0
+    """How many steps of one grid point's multiset walk bring a multiset
+    greater than the one before (the walk is in rank order: a repeat goes
+    uncounted), and how many of those have root vertices; from one walk
+    that keeps no structure. bench/worker.py reads this cache's
+    statistics, which is why the cache and the name stay."""
+    n_ms = n_rooted = 0
     last = ()
     for m in multisets._multisets(k, n, max_count):
-        walked += 1
         key = (m.cycle, *m.f.values())  # rank order is this key's order
         if key > last:
             n_ms += 1
             n_rooted += bool(multisets.root_vertices(m))
         last = key
-    return walked, n_ms, n_rooted
+    return n_ms, n_rooted
 
 
 def _check_all(name, k, n, bad) -> CheckResult:
@@ -209,11 +208,12 @@ def _distinct(images) -> int:
 class _Range:
     """Whether a stream of images is exactly the rooted multisets of one
     grid point: one byte per multiset rank, 1 at the rank of each image
-    that is a rooted multiset of the point, and a list of the others."""
+    that is a rooted multiset of the point, and a list of the others. The
+    ranks come from the count, not from a walk, which may fall short."""
 
-    def __init__(self, k: int, n: int, walked: int):
+    def __init__(self, k: int, n: int):
         self.k, self.n = k, n
-        self.seen = bytearray(walked)
+        self.seen = bytearray(catalan.count_multisets(k, n))
         self.others: list = []
 
     def add(self, m, least) -> bool:
@@ -263,7 +263,7 @@ def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResu
     first: dict = {}  # check name -> its first counterexample
     fail = first.setdefault
     if counts or bijections:
-        walked, n_ms, n_rooted = _grid_structures(k, n, max_count)
+        n_ms, n_rooted = _grid_structures(k, n, max_count)
 
     n_paths = 0
     word_dist: Counter = Counter()
@@ -308,7 +308,7 @@ def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResu
     # an image checks it
     n_cycle_trees = 0
     cycle_dist: Counter = Counter()
-    tree_range = _Range(k, n, walked) if bijections else None
+    tree_range = _Range(k, n) if bijections else None
     trees_back = True  # each tree came back from its image equal and valid, its cycle the roots
     for c in trees._cycle_rooted(k, n, max_count):
         n_cycle_trees += 1
@@ -339,7 +339,7 @@ def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResu
 
     n_ornaments = 0
     touch_dist: Counter = Counter()
-    ornament_range = _Range(k, n, walked) if bijections else None
+    ornament_range = _Range(k, n) if bijections else None
     for o in paths._ornaments(k, n, max_count):
         n_ornaments += 1
         if not (bijections or statistics):

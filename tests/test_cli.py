@@ -536,28 +536,34 @@ def _fields_of_fields(depth: int) -> str:
     return '{"kind":"field","parts":[' * depth + SINGLE_PATH + "]}" * depth
 
 
-class TestDeepJSON:
-    """JSON nested past the recursion limit exits 2 with one line, whether
-    the JSON parser or the structure reader meets the limit first."""
+DEEP = "error: input nests too deeply to be a structure\n"
+PARTS = "error: the parts of a field must be a collection of GoodPath\n"
 
-    @pytest.mark.parametrize("text", ["[" * 100_000, _fields_of_fields(450)],
-                             ids=["open-brackets", "fields-of-fields"])
+
+class TestDeepJSON:
+    """JSON nested past the recursion limit exits 2 with one line from the
+    JSON parser. The reader reads a part only if it is of its container's
+    part kind, so a field of fields gets the constructor's message at any
+    depth the parser accepts, on every Python."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("[" * 100_000, DEEP), (_fields_of_fields(450), PARTS), (_fields_of_fields(10_000), DEEP),
+    ], ids=["open-brackets", "fields-of-fields", "fields-of-fields-10000"])
     @pytest.mark.parametrize("argv", [("map", "--target", "path"), ("render",)],
                              ids=["map", "render"])
-    def test_exits_2_with_one_line(self, capsys, monkeypatch, text, argv):
+    def test_exits_2_with_one_line(self, capsys, monkeypatch, text, message, argv):
         feed(monkeypatch, text)
-        assert run(capsys, *argv) == (2, "", "error: input nests too deeply to be a structure\n")
+        assert run(capsys, *argv) == (2, "", message)
 
     def test_in_a_fresh_process(self):
-        proc = run_python("-m", "catlog", "map", "--target", "path",
-                          stdin=_fields_of_fields(450))
-        assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr == "error: input nests too deeply to be a structure\n"
+        for depth, message in [(450, PARTS), (10_000, DEEP)]:
+            proc = run_python("-m", "catlog", "map", "--target", "path",
+                              stdin=_fields_of_fields(depth))
+            assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
 
     def test_a_shallow_field_of_fields_keeps_its_message(self, capsys, monkeypatch):
         feed(monkeypatch, _fields_of_fields(2))
-        assert run(capsys, "map", "--target", "path") == (
-            2, "", "error: the parts of a field must be a collection of GoodPath\n")
+        assert run(capsys, "map", "--target", "path") == (2, "", PARTS)
 
 
 # a bool, float, list or non-string where an int or a str belongs, as JSON,

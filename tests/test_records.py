@@ -74,15 +74,33 @@ def test_record_contract(cls, args, names, shown, table):
             delattr(x, name)
     assert tuple(getattr(x, f) for f in names) == values
 
-    with pytest.raises(TypeError):  # an extra argument
-        cls(*args, None)
-    if names:
-        with pytest.raises(TypeError):  # missing arguments
-            cls()
-        with pytest.raises(TypeError):  # a repeated argument
-            cls(*args, **{names[0]: args[0]})
-        assert cls(**dict(zip(names, args))) == x
+    # each arity fault raises the TypeError Python words for a plain
+    # __init__ of the same signature, which names the class
+    defaults = [vars(cls)[f] for f in names if f in vars(cls)]
+    lo = len(names) - len(defaults)
+    params = ["self", *names[:lo], *(f"{f}=None" for f in names[lo:])]
+    space = {}
+    exec(f"def __init__({', '.join(params)}): pass", space)
+    plain = space["__init__"]
+    plain.__qualname__ = f"{cls.__qualname__}.__init__"
+    faults = [((*args, None), {}), ((*args, None, None), {}), (args, {"other": 1})]
+    if lo:  # missing arguments
+        faults += [((), {}), (args[:lo - 1], {})]
+    if names:  # a repeated argument
+        faults.append((args, {names[0]: args[0]}))
+    for given, kw in faults:
+        with pytest.raises(TypeError) as fault:
+            cls(*given, **kw)
+        with pytest.raises(TypeError) as python:
+            plain(None, *given, **kw)
+        assert str(fault.value) == str(python.value)
+        assert str(fault.value).startswith(f"{cls.__qualname__}.__init__() ")
+    # by keyword, and by position with the trailing defaults left out
+    assert cls(**dict(zip(names, args))) == x
+    assert cls(*args[:lo]) == cls(**dict(zip(names[:lo], args))) == cls(*args[:lo], *defaults)
     assert set(vars(x)) == set(names)  # a record stores its fields and nothing else
+    for method in ("__init__", "__eq__", "__hash__"):
+        assert getattr(cls, method).__qualname__ == f"{cls.__qualname__}.{method}"
 
 
 # class, the fields before its table, the table's name, two rows in order
@@ -116,6 +134,26 @@ def test_importing_catlog_leaves_dataclasses_and_inspect_out():
     code = ("import sys, catlog, catlog.cli; "
             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
     # -S: no site-packages start-up hooks, so only catlog's own imports count
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_importing_catlog_compiles_no_source():
+    """Defining the records compiles nothing: no code in the package hands
+    a source string to the compiler while `catlog` and its CLI import.
+    (The standard library may: namedtuple evaluates a string.)"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys\n"
+            "callers = []\n"
+            "def hook(event, args):\n"
+            "    if event == 'compile' and args[1] == '<string>':\n"
+            "        callers.append(sys._getframe(1).f_code.co_filename)\n"
+            "sys.addaudithook(hook)\n"
+            "import catlog, catlog.cli\n"
+            "print([f for f in callers if f.startswith(catlog.__path__[0])])")
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

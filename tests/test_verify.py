@@ -262,6 +262,23 @@ def test_a_walk_that_repeats_a_structure_fails_a_check(monkeypatch, module, walk
     assert failed[check, 3] == at_3
 
 
+def test_a_multiset_walk_that_ends_early_fails_its_count(monkeypatch, capsys):
+    """A multiset walk one short fails `multiset-count`, and `catlog
+    verify` exits 1: the range checks' rank bytes come from the count, so
+    no image's rank falls outside them."""
+    def short(*args, _walk=multisets._multisets):
+        return iter(list(_walk(*args))[:-1])
+
+    verify._grid_structures.cache_clear()
+    monkeypatch.setattr(multisets, "_multisets", short)
+    report = run_suite("all", [2], 3)
+    code = main(["verify", "--suite", "all", "--k", "2", "--max-n", "3"])
+    verify._grid_structures.cache_clear()
+    failed = {r.name for r in report.results if not r.passed}
+    assert "multiset-count" in failed and not report.overall
+    assert code == 1 and "multiset-count" in capsys.readouterr().out
+
+
 # -- faults in the shared bijections ---------------------------------------------
 
 K, N = 2, 3
