@@ -16,8 +16,7 @@ injective with the same image, the multisets that have root vertices,
 which is what ties the path picture to the tree picture.
 
 `multiset_rank` numbers the multisets on labels 1..n exactly, in
-enumeration order, and `multiset_unrank` inverts it; verify reads an
-encoding's range as one byte per rank.
+enumeration order, and `multiset_unrank` inverts it.
 """
 
 from __future__ import annotations
@@ -153,40 +152,32 @@ def multiset_rank(m: CyclicMultiset) -> int:
     compositions of n into n(k-1) parts, plus the lexicographic rank of
     the multiplicities read label by label (Knuth, TAOCP vol. 4A,
     7.2.1.2-3; Nijenhuis-Wilf, Combinatorial Algorithms). The ranks fill
-    [0, count_multisets(k, n)) exactly. Raises ValueError unless m is
-    stored exactly as the public constructor stores a multiset on labels
-    1..n: an integer k >= 2, the cycle a tuple of those labels starting at
-    1, f a dict by label, each vector a tuple of k-1 nonnegative integers,
-    all of them summing to n.
+    [0, count_multisets(k, n)) exactly. Raises ValueError unless m is a
+    multiset on labels 1..n that passes its constructor's checks as stored.
     """
-    if type(m) is not CyclicMultiset or type(m.k) is not int or m.k < 2:
+    if type(m) is not CyclicMultiset:
         raise ValueError(_NOT_STORED)
-    k, cycle, f = m.k, m.cycle, m.f
-    n = len(cycle)
-    if type(cycle) is not tuple or cycle[:1] != (1,) or type(f) is not dict or len(f) != n:
+    try:
+        cycle, f = _check_multiset(m.k, m.cycle, m.f, True)
+    except ValueError:
+        raise ValueError(_NOT_STORED) from None
+    k, n = m.k, len(cycle)
+    if cycle != m.cycle or max(cycle) != n:  # a stored cycle on labels 1..n
         raise ValueError(_NOT_STORED)
     rest = list(range(1, n + 1))
     perm = 0
     for v in cycle:
-        if type(v) is not int or v not in rest:
-            raise ValueError(_NOT_STORED)
         i = rest.index(v)
         perm = perm * len(rest) + i
         rest.pop(i)
     comp = 0
     total, parts = n, n * (k - 1)
-    for label, (v, vec) in enumerate(f.items(), 1):
-        if type(v) is not int or v != label or type(vec) is not tuple or len(vec) != k - 1:
-            raise ValueError(_NOT_STORED)
+    for vec in f.values():  # by label 1..n
         for x in vec:
-            if type(x) is not int or not 0 <= x <= total:
-                raise ValueError(_NOT_STORED)
             if x:  # the compositions that put less than x here come first
                 comp += _compositions(total, parts) - _compositions(total - x, parts)
                 total -= x
             parts -= 1
-    if total:
-        raise ValueError(_NOT_STORED)
     return perm * _compositions(n, n * (k - 1)) + comp
 
 

@@ -41,8 +41,9 @@ def _check_cycle(cycle) -> tuple[int, ...]:
         repeats = type(cycle) is not tuple
     if not cycle or repeats:
         raise ValueError("the cycle must be a nonempty list of distinct labels")
-    if set(map(type, cycle)) != {int} or min(cycle) < 1:
-        raise ValueError("cycle labels must be positive integers")
+    for v in cycle:
+        if type(v) is not int or v < 1:
+            raise ValueError("cycle labels must be positive integers")
     if cycle[0] != min(cycle):
         raise ValueError("the cycle must be stored starting at its minimal label")
     return cycle

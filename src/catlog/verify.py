@@ -173,8 +173,8 @@ def _valid(x) -> bool:
 
     The enumerators and bijections build through the trusted constructor.
     An image is checked this way in the first check that reads it, unless
-    a roundtrip equality or a range check compares it with structures
-    the enumerators built."""
+    a roundtrip equality compares it with a structure the enumerators
+    built; a range check checks each encoder image this way."""
     try:
         return type(x) in _IN_PLACE and _IN_PLACE[type(x)](x)
     except ValueError:
@@ -205,34 +205,28 @@ def _distinct(images) -> int:
     return len(hashed) + len(rest)
 
 
-class _Range:
-    """Whether a stream of images is exactly the rooted multisets of one
-    grid point: one byte per multiset rank, 1 at the rank of each image
-    that is a rooted multiset of the point, and a list of the others. The
-    ranks come from the count, not from a walk, which may fall short."""
+def _rooted_at(m, least, k: int, n: int) -> bool:
+    """Whether image m, with `least` its _least_root_order (None where unreadable),
+    has root vertices and is stored as a multiset of the point (k, n) on labels 1..n."""
+    return bool(least and least[1]) and _valid(m) and (m.k, m.n, max(m.cycle)) == (k, n, n)
 
-    def __init__(self, k: int, n: int):
-        self.k, self.n = k, n
-        self.seen = bytearray(catalan.count_multisets(k, n))
-        self.others: list = []
 
-    def add(self, m, least) -> bool:
-        """Whether image m, whose _least_root_order is `least` (None where
-        unreadable), is a rooted multiset of the point; if so, mark its rank."""
-        try:
-            r = multisets.multiset_rank(m)
-        except ValueError:
-            r = None
-        if r is not None and (m.k, m.n) == (self.k, self.n) and least and least[1]:
-            self.seen[r] = 1
-            return True
-        self.others.append(m)
-        return False
-
-    def result(self, name: str, n_rooted: int) -> CheckResult:
-        marked = self.seen.count(1)
-        return _check(name, self.k, self.n, not self.others and marked == n_rooted,
-                      f"{marked + _distinct(self.others)} images vs {n_rooted} rooted")
+def _range(name, k: int, n: int, n_rooted: int, by_count: bool, images) -> CheckResult:
+    """Whether an encoder's images are exactly the rooted multisets of the
+    point. `by_count` holds when the walk went up in its order at each of
+    its n_rooted steps, so no input came twice, and each input came back
+    from its image, a rooted multiset: the images are then n_rooted distinct
+    rooted multisets, all of them. Otherwise `images` is walked, and the
+    rooted ones counted by equality, which on labels 1..n is by rank."""
+    if by_count:
+        return _check(name, k, n, True, f"{n_rooted} images vs {n_rooted} rooted")
+    rooted, others = [], []
+    for m in images:
+        least = _attempt(multisets._least_root_order, m)
+        (rooted if _rooted_at(m, least, k, n) else others).append(m)
+    marked = _distinct(rooted)
+    return _check(name, k, n, not others and marked == n_rooted,
+                  f"{marked + _distinct(others)} images vs {n_rooted} rooted")
 
 
 def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResult]]:
@@ -246,16 +240,16 @@ def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResu
     it is produced, read by every asked check, and dropped. Touches and
     rightmost branches are walked once per structure, and a forest's parts
     again only if it fails its in-place check. A pass keeps
-    counts, distributions, the first counterexample of each for-all check
-    in walk order, and a range check's byte per multiset rank. The multiset
-    and plane-tree counts take only the steps that go up in their walk's
-    order, so a repeated structure fails them as a repeated ornament or
-    cycle tree fails its range check; a repeated field is not seen. Where every
-    cycle tree decodes back from its image, valid, with the image's roots
-    as its cycle, and the images are the rooted multisets, the ornament
-    pass takes the composed checks' verdicts on a rooted image from its
-    own roundtrip and root-vertex checks; elsewhere it decodes its image.
-    A pass or an image that no asked suite reads is skipped."""
+    counts, distributions and the first counterexample of each for-all
+    check in walk order. The multiset and plane-tree counts take only the
+    steps that go up in their walk's order, and the range checks hold by
+    count only where every step went up, so a repeated structure fails
+    them; a repeated field is not seen. Where the tree range check holds
+    by count and every cycle tree decodes back from its image, valid,
+    with the image's roots as its cycle, the ornament pass takes the
+    composed checks' verdicts on a rooted image from its own roundtrip and
+    root-vertex checks; elsewhere it decodes its image. A pass or an image
+    that no asked suite reads is skipped."""
     counts = "counts" in suites
     bijections = "bijections" in suites
     statistics = "statistics" in suites
@@ -308,8 +302,9 @@ def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResu
     # an image checks it
     n_cycle_trees = 0
     cycle_dist: Counter = Counter()
-    tree_range = _Range(k, n) if bijections else None
-    trees_back = True  # each tree came back from its image equal and valid, its cycle the roots
+    # each tree went up in the walk's (cycle, rows) order and came back from
+    # its image, a rooted multiset, equal and valid, with its roots as cycle
+    bijective, last = bijections, ()
     for c in trees._cycle_rooted(k, n, max_count):
         n_cycle_trees += 1
         if not (bijections or statistics):
@@ -325,21 +320,22 @@ def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResu
             back = _attempt(multisets.multiset_to_cycle_tree, m, least)
             if back != c:
                 fail("cycle-tree-multiset-roundtrip", c)
-            tree_range.add(m, least)
-            trees_back = trees_back and roots_ok and back == c and _valid(back)
+            key = (c.cycle, *[v or 0 for row in c.slots.values() for v in row])
+            bijective = (bijective and key > last and back == c and roots_ok and _valid(back)
+                         and _rooted_at(m, least, k, n))
+            last = key
         if statistics:
             cycle_dist[len(c.cycle)] += 1
             if not roots_ok:
                 fail("cycle-tree-root-vertices", c)
 
-    # each tree decodes back from its image and the images are the rooted
-    # multisets, so the decoder inverts a bijection from the trees onto them
-    tree_result = tree_range and tree_range.result("cycle-tree-encoding-range", n_rooted)
-    bijective = tree_result and trees_back and tree_result.passed
+    # n_rooted distinct trees each decode back from their image, a rooted
+    # multiset, so the decoder inverts a bijection from the trees onto them
+    bijective = bijective and n_cycle_trees == n_rooted
 
     n_ornaments = 0
     touch_dist: Counter = Counter()
-    ornament_range = _Range(k, n) if bijections else None
+    rising, last = bijections, ()  # each step went up in the walk's order
     for o in paths._ornaments(k, n, max_count):
         n_ornaments += 1
         if not (bijections or statistics):
@@ -354,7 +350,10 @@ def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResu
             roundtrip = _attempt(multisets.multiset_to_ornament, m, least) == o
             if not roundtrip:
                 fail("ornament-multiset-roundtrip", o)
-            rooted = ornament_range.add(m, least)
+            rooted = _rooted_at(m, least, k, n)
+            key = (o.rep.steps, o.rep.labels)
+            rising = rising and key > last and roundtrip and rooted
+            last = key
         roots_ok = statistics and (bijections or _valid(m)) and least and least[1] == touch_labels
         if statistics and not roots_ok:
             fail("ornament-root-vertices", o)
@@ -429,9 +428,14 @@ def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResu
         bij.append(for_all("min-cycle-roundtrip"))
         bij.append(for_all("cycle-length-is-branch-length"))
         bij.append(for_all("ornament-multiset-roundtrip"))
-        bij.append(ornament_range.result("ornament-encoding-range", n_rooted))
+        bij.append(_range("ornament-encoding-range", k, n, n_rooted,
+                          rising and n_ornaments == n_rooted,
+                          (multisets.ornament_to_multiset(o)
+                           for o in paths._ornaments(k, n, max_count))))
         bij.append(for_all("cycle-tree-multiset-roundtrip"))
-        bij.append(tree_result)
+        bij.append(_range("cycle-tree-encoding-range", k, n, n_rooted, bijective,
+                          (multisets.cycle_tree_to_multiset(c)
+                           for c in trees._cycle_rooted(k, n, max_count))))
         bij.append(for_all("composed-correspondence-roundtrip"))
         bij.append(for_all("rotation-class-constant"))
 

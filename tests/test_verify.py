@@ -93,9 +93,9 @@ def test_pinned_report_bytes(capsys, suite, ks, max_n, pin):
 
 
 def test_a_grid_point_holds_no_structure_list():
-    """Each pass keeps counts, first counterexamples and a range check's
-    byte per multiset rank; holding the structures and images of the
-    (2, 5) point took 18.5 MB."""
+    """Each pass keeps counts and first counterexamples, and a range check
+    that holds by count keeps no image; holding the structures and images
+    of the (2, 5) point took 18.5 MB."""
     verify._grid_structures.cache_clear()
     tracemalloc.start()
     try:
@@ -157,21 +157,20 @@ def test_each_cycle_tree_is_decoded_once(monkeypatch, suite):
     """Once the cycle-tree pass has shown the tree encoding a bijection onto
     the rooted multisets, the ornament pass reads a rooted image's tree
     from it, so no tree is encoded, nor any multiset decoded to a tree,
-    twice; cycle_tree_to_ornament, which does both, is never called. Each
-    encoder image is ranked once by its range check, which the statistics
-    suite does not run."""
+    twice; cycle_tree_to_ornament, which does both, is never called. The
+    range checks hold by count, so no picture is walked again to encode
+    it, and no image is ranked: ranking each image made 468 rank calls."""
     calls = Counter()
     for attr in ("multiset_to_cycle_tree", "cycle_tree_to_multiset", "cycle_tree_to_ornament",
-                 "multiset_rank"):
+                 "ornament_to_multiset", "multiset_rank"):
         def counted(*args, _real=getattr(multisets, attr), _attr=attr):
             calls[_attr] += 1
             return _real(*args)
         monkeypatch.setattr(multisets, attr, counted)
     assert run_suite(suite, [2], 4).overall
     n_trees = sum(catalan.count_ornaments(2, n) for n in range(1, 5))
-    ranked = {} if suite == "statistics" else {"multiset_rank": 2 * n_trees}
     assert calls == {"multiset_to_cycle_tree": n_trees, "cycle_tree_to_multiset": n_trees,
-                     **ranked}
+                     "ornament_to_multiset": n_trees}
 
 
 STRUCTURES = (paths.GoodPath, paths.MinimalField, paths.Ornament, trees.PlaneTree,
@@ -249,10 +248,11 @@ def _first_for_last(walk):
 def test_a_walk_that_repeats_a_structure_fails_a_check(monkeypatch, module, walk, check,
                                                        also, at_2, at_3):
     """A walk that yields its first structure twice and its last never
-    keeps every roundtrip. The ranks catch it in the cycle-tree and
-    ornament walks; the plane trees and multisets come in a known order,
-    and a step that does not go up is not counted. The field walk is not
-    covered: `paths._fields` so changed passes every check."""
+    keeps every roundtrip. Each walk comes in a known order: a step that
+    does not go up is not counted by the plane-tree and multiset counts,
+    and makes the cycle-tree and ornament range checks walk again and
+    count the images by equality. The field walk is not covered:
+    `paths._fields` so changed passes every check."""
     verify._grid_structures.cache_clear()
     monkeypatch.setattr(module, walk, _first_for_last(getattr(module, walk)))
     failed = {(r.name, r.n): r.message for r in run_suite("all", [2], 3).results if not r.passed}
@@ -262,10 +262,35 @@ def test_a_walk_that_repeats_a_structure_fails_a_check(monkeypatch, module, walk
     assert failed[check, 3] == at_3
 
 
+def _stepping_back(walk):
+    """`walk` with its last structure left out and the two before it
+    yielded again: as many steps go up as the walk has structures."""
+    def walked(*args):
+        items = list(walk(*args))
+        return iter([*items[:-1], *items[-3:-1]])
+    return walked
+
+
+@pytest.mark.parametrize("module, walk, check", [
+    (trees, "_cycle_rooted", "cycle-tree-encoding-range"),
+    (paths, "_ornaments", "ornament-encoding-range"),
+], ids=["cycle-trees", "ornaments"])
+def test_a_walk_that_steps_back_fails_its_range_check(monkeypatch, module, walk, check):
+    """A range check holds by count only where every step of the walk went
+    up: here as many steps go up as there are rooted multisets, but one
+    of them is missed, and the check counts the images again."""
+    monkeypatch.setattr(module, walk, _stepping_back(getattr(module, walk)))
+    failed = {(r.name, r.n): r.message
+              for r in run_suite("bijections", [2], 3).results if not r.passed}
+    assert {name for name, _ in failed} == {check}
+    assert failed[check, 3] == "19 images vs 20 rooted"
+
+
 def test_a_multiset_walk_that_ends_early_fails_its_count(monkeypatch, capsys):
     """A multiset walk one short fails `multiset-count`, and `catlog
-    verify` exits 1: the range checks' rank bytes come from the count, so
-    no image's rank falls outside them."""
+    verify` exits 1: the range checks count their images against the
+    walk's rooted multisets and index no table by rank, so no image falls
+    outside one."""
     def short(*args, _walk=multisets._multisets):
         return iter(list(_walk(*args))[:-1])
 
@@ -586,6 +611,38 @@ def test_an_invalid_image_fails_the_check_that_reads_it(monkeypatch, capsys, whi
     assert _replayed(monkeypatch, capsys, failed) > 0
 
 
+def _relabeled(m):
+    """Multiset m with its largest label n renamed n + 1: valid and rooted,
+    but on labels other than 1..n."""
+    n = m.n
+    def new(v):
+        return n + 1 if v == n else v
+    return multisets.CyclicMultiset(m.k, tuple(map(new, m.cycle)),
+                                    {new(v): vec for v, vec in m.f.items()})
+
+
+@pytest.mark.parametrize("wrong", ["labels", "k"])
+@pytest.mark.parametrize("which, check", [
+    ("ornament_to_multiset", "ornament-encoding-range"),
+    ("cycle_tree_to_multiset", "cycle-tree-encoding-range"),
+], ids=["ornament_to_multiset", "cycle_tree_to_multiset"])
+def test_a_rooted_image_of_another_point_fails_the_range_check(monkeypatch, which, check,
+                                                               wrong):
+    """An image that is a valid multiset with root vertices, but on labels
+    other than 1..n or at another k, is no rooted multiset of the point:
+    the range check counts it apart from the 19 rooted images, so it
+    fails with as many images as rooted multisets."""
+    x0 = INVALID_IMAGES[which][2]()[0]
+    if wrong == "labels":
+        image = _relabeled(getattr(multisets, which)(x0))
+    else:
+        image = next(m for m in multisets.enumerate_multisets(K + 1, N)
+                     if multisets.root_vertices(m))
+    assert multisets.root_vertices(image)
+    _send(monkeypatch, multisets, which, x0, image)
+    assert _failing("bijections")[check, K, N] == "20 images vs 20 rooted"
+
+
 @pytest.mark.parametrize("which", ["ornament_to_multiset", "cycle_tree_to_multiset"])
 def test_rank_rejects_an_invalid_encoding(which):
     _, image, _ = INVALID_IMAGES[which][2]()
@@ -594,9 +651,9 @@ def test_rank_rejects_an_invalid_encoding(which):
 
 
 def test_invalid_images_are_counted_in_linear_time(monkeypatch):
-    """A range check counts the images it cannot rank by hash, not by
-    comparing each with every earlier one: with every ornament's image
-    rotated, that took 22,138 comparisons at (2, 4)."""
+    """A range check counts the images that are no rooted multiset of the
+    point by hash, not by comparing each with every earlier one: with
+    every ornament's image rotated, that took 22,138 comparisons at (2, 4)."""
     real = multisets.ornament_to_multiset
     monkeypatch.setattr(multisets, "ornament_to_multiset", lambda o: _rotated(real(o)))
     compared = Counter()
