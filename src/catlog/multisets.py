@@ -55,7 +55,9 @@ def _check_multiset(k, cycle, f, stored=False):
             if v in table:
                 raise ValueError(f"f names vertex {v} twice")
             table[v] = vec
-    if table.keys() != set(cycle):
+    # _check_cycle refused repeated labels, so a table as long as the cycle
+    # that holds each of its labels holds exactly them
+    if len(table) != len(cycle) or not all(map(table.__contains__, cycle)):
         raise ValueError("multiplicities must cover exactly the cycle labels")
     total = sum(map(sum, table.values()))
     if total != len(cycle):

@@ -125,19 +125,24 @@ def suite_series(ks, max_n: int) -> list[CheckResult]:
 
 @lru_cache(maxsize=32)
 def _grid_structures(k: int, n: int, max_count):
-    """How many steps of one grid point's multiset walk bring a multiset
-    greater than the one before (the walk is in rank order: a repeat goes
-    uncounted), and how many of those have root vertices; from one walk
-    that keeps no structure. bench/worker.py reads this cache's
-    statistics, which is why the cache and the name stay."""
+    """How many distinct multisets one grid point's multiset walk brings,
+    and how many of those have root vertices. Where each step went up in
+    the walk's rank order, no multiset came twice and one walk that keeps
+    no structure counts them; otherwise they are walked again and counted
+    by equality. bench/worker.py reads this cache's statistics, which is
+    why the cache and the name stay."""
     n_ms = n_rooted = 0
-    last = ()
+    rising, last = True, ()
     for m in multisets._multisets(k, n, max_count):
         key = (m.cycle, *m.f.values())  # rank order is this key's order
-        if key > last:
-            n_ms += 1
-            n_rooted += bool(multisets.root_vertices(m))
+        rising = rising and key > last
         last = key
+        n_ms += 1
+        n_rooted += bool(multisets.root_vertices(m))
+    if not rising:
+        n_ms = _distinct(multisets._multisets(k, n, max_count))
+        n_rooted = _distinct(m for m in multisets._multisets(k, n, max_count)
+                             if multisets.root_vertices(m))
     return n_ms, n_rooted
 
 
@@ -241,10 +246,11 @@ def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResu
     rightmost branches are walked once per structure, and a forest's parts
     again only if it fails its in-place check. A pass keeps
     counts, distributions and the first counterexample of each for-all
-    check in walk order. The multiset and plane-tree counts take only the
-    steps that go up in their walk's order, and the range checks hold by
-    count only where every step went up, so a repeated structure fails
-    them; a repeated field is not seen. Where the tree range check holds
+    check in walk order. The multiset and plane-tree counts, and the
+    range checks, hold by count only where every step went up in their
+    walk's order; otherwise the structures or images are counted again
+    by equality, so a repeated structure fails them. A repeated field is
+    not seen. Where the tree range check holds
     by count and every cycle tree decodes back from its image, valid,
     with the image's roots as its cycle, the ornament pass takes the
     composed checks' verdicts on a rooted image from its own roundtrip and
@@ -272,13 +278,14 @@ def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResu
             word_dist[len(touches)] += 1
 
     n_trees = n_min_trees = 0
-    last = ()
+    trees_rising, last = True, ()
     for t in trees._trees(k, labels, max_count) if counts or bijections else ():
         # the walk is in (root, rows) order, a vacancy before any occupant:
-        # a step that does not go up repeats a tree and goes uncounted
+        # where every step goes up, no tree came twice
         key = (t.root, *[v or 0 for row in t.slots.values() for v in row])
-        n_trees += key > last
+        trees_rising = trees_rising and key > last
         last = key
+        n_trees += 1
         branch = trees.rightmost_branch(t)
         minimal = min(branch) == t.root
         n_min_trees += minimal
@@ -296,6 +303,8 @@ def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResu
                 fail("min-cycle-roundtrip", t)
             if len(c.cycle) != len(branch):
                 fail("cycle-length-is-branch-length", t)
+    if not trees_rising:  # a tree may have come twice: count them by equality
+        n_trees = _distinct(trees._trees(k, labels, max_count))
 
     # range checks cover the encodings, the composed roundtrip the carried
     # trees; with no bijections suite, the first statistics check that reads

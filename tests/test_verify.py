@@ -249,9 +249,9 @@ def test_a_walk_that_repeats_a_structure_fails_a_check(monkeypatch, module, walk
                                                        also, at_2, at_3):
     """A walk that yields its first structure twice and its last never
     keeps every roundtrip. Each walk comes in a known order: a step that
-    does not go up is not counted by the plane-tree and multiset counts,
-    and makes the cycle-tree and ornament range checks walk again and
-    count the images by equality. The field walk is not covered:
+    does not go up makes the plane-tree and multiset counts, and the
+    cycle-tree and ornament range checks, walk again and count the
+    structures or images by equality. The field walk is not covered:
     `paths._fields` so changed passes every check."""
     verify._grid_structures.cache_clear()
     monkeypatch.setattr(module, walk, _first_for_last(getattr(module, walk)))
@@ -284,6 +284,28 @@ def test_a_walk_that_steps_back_fails_its_range_check(monkeypatch, module, walk,
               for r in run_suite("bijections", [2], 3).results if not r.passed}
     assert {name for name, _ in failed} == {check}
     assert failed[check, 3] == "19 images vs 20 rooted"
+
+
+@pytest.mark.parametrize("module, walk, check, also, at_2, at_3", [
+    (trees, "_trees", "tree-count", set(), "4 vs 3", "30 vs 29"),
+    (multisets, "_multisets", "multiset-count",
+     {"rooted-multiset-count", "ornament-encoding-range", "cycle-tree-encoding-range"},
+     "3 vs 2", "20 vs 19"),
+], ids=["trees", "multisets"])
+def test_a_walk_that_steps_back_fails_its_count(monkeypatch, module, walk, check,
+                                                also, at_2, at_3):
+    """A count holds only where every step of its walk went up: here as
+    many steps go up as there are structures, but one of them is missed,
+    and the count takes the distinct structures instead. At n = 1 the
+    walk so changed is empty, so only n = 2 and 3 are read."""
+    verify._grid_structures.cache_clear()
+    monkeypatch.setattr(module, walk, _stepping_back(getattr(module, walk)))
+    failed = {(r.name, r.n): r.message
+              for r in run_suite("all", [2], 3).results if not r.passed and r.n > 1}
+    verify._grid_structures.cache_clear()
+    assert {name for name, _ in failed} == {check} | also
+    assert failed[check, 2] == at_2
+    assert failed[check, 3] == at_3
 
 
 def test_a_multiset_walk_that_ends_early_fails_its_count(monkeypatch, capsys):
