@@ -42,10 +42,8 @@ def multichoose(i: int, j: int) -> int:
 def harmonic(m: int) -> Fraction:
     """Sum of 1/i for i = 1..m, exactly; harmonic(0) = 0."""
     check_ints("harmonic needs m >= 0", (m, 0))
-    total = Fraction(0)
-    for i in range(1, m + 1):
-        total += Fraction(1, i)
-    return total
+    d = math.lcm(*range(1, m + 1))  # every 1/i is (d // i)/d
+    return Fraction(sum(d // i for i in range(1, m + 1)), d)
 
 
 def format_rational(q) -> str:

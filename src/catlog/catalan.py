@@ -7,6 +7,7 @@ enumeration); nothing here is trusted on its own.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from ._trusted import Record
@@ -78,20 +79,25 @@ def composition_sum(p: int, a: int) -> Fraction:
 def coeff_log_power(k: int, n: int, a: int) -> Fraction:
     """Coefficient of x^n in the a-th power of the log of the Catalan series.
 
-    Computed as the diagonal-return sum over p of returns_count(k, n, p)
+    Computed as the diagonal-return sum over p of W(p) = returns_count(k, n, p)
     times composition_sum(p, a) = a!*c(p, a)/p!, so it stays independent
-    of both the factorial form in coeff_log and the series expansion. One
-    Stirling column serves every p, and the sum is kept over the common
-    denominator n!. Zero for n < a (the a-th log power has valuation a).
+    of both the factorial form in coeff_log and the series expansion. The
+    terms W are walked down from W(n) = 1 by their ratio
+    W(p-1)/W(p) = (p-1)(kn-p) / (p(n-p+1)), each an exact integer quotient;
+    one Stirling column serves every p, and the sum is kept in integers
+    over the common denominator n!. Zero for n < a (the a-th log power has
+    valuation a).
     """
     check_ints("coeff_log_power needs k >= 2, n >= 1, a >= 1", (k, 2), (n, 1), (a, 1))
     if n < a:
         return Fraction(0)
     stirling = _stirling_column(n, a)
-    total, falling = 0, 1  # falling = n!/p!
+    total, falling, w = 0, 1, 1  # falling = n!/p!, w = W(p)
     for p in range(n, a - 1, -1):
-        total += returns_count(k, n, p) * stirling[p] * falling
+        total += w * stirling[p] * falling
         falling *= p
+        w, r = divmod(w * (p - 1) * (k * n - p), p * (n - p + 1))
+        assert r == 0, "W(p-1) = returns_count(k, n, p-1) is an integer"
     return Fraction(factorial(a) * total, factorial(n))
 
 
@@ -104,14 +110,22 @@ def knuth_log2_coeff(n: int) -> Fraction:
 
 def knuth_general_log2(k: int, n: int) -> Fraction:
     """Squared-log coefficient for general k >= 2 in harmonic form:
-    2 * sum_p ((k-1)/(kn-p)) * C(kn-p, n-p) * H_{p-1}."""
+    2 * sum_p ((k-1)/(kn-p)) * C(kn-p, n-p) * H_{p-1}.
+
+    The summand's ballot factor (k-1)/(kn-p) * C(kn-p, n-p) is
+    C(kn-p-1, n-p)/n, walked down from 1 at p = n by the ratio
+    (kn-p)/(n-p+1), and D*H_{p-1} is an integer for D = lcm(1..n): the
+    sum is kept in integers over n*D."""
     check_ints("knuth_general_log2 needs k >= 2 and n >= 2", (k, 2), (n, 2))
-    total = Fraction(0)
-    h = Fraction(0)  # H_{p-1}, carried from one p to the next
-    for p in range(2, n + 1):
-        h += Fraction(1, p - 1)
-        total += Fraction(k - 1, k * n - p) * binomial(k * n - p, n - p) * h
-    return 2 * total
+    d = math.lcm(*range(1, n + 1))
+    h = sum(d // i for i in range(1, n))  # D*H_{p-1}
+    total, b = 0, 1  # b = C(kn-p-1, n-p)
+    for p in range(n, 1, -1):
+        total += b * h
+        h -= d // (p - 1)
+        b, r = divmod(b * (k * n - p), n - p + 1)
+        assert r == 0, "C(kn-p, n-p+1) is an integer"
+    return Fraction(2 * total, n * d)
 
 
 def count_ornaments(k: int, n: int) -> int:

@@ -223,15 +223,16 @@ def ornament_to_multiset(o: Ornament) -> CyclicMultiset:
     used, so reading them off the canonical representative is safe.
     """
     p = o.rep
-    counts = {v: [0] * (p.k - 1) for v in p.labels}
+    k, labels = p.k, p.labels  # read once, not per step
+    counts = {v: [0] * (k - 1) for v in labels}
     u = 0
     for ch in p.steps:
         if ch == "R":
-            j, q = divmod(u, p.k - 1)
-            counts[p.labels[j]][q] += 1
+            j, q = divmod(u, k - 1)
+            counts[labels[j]][q] += 1
         else:
             u += 1
-    return _encoded(p.k, p.labels, counts)
+    return _encoded(k, labels, counts)
 
 
 def _encoded(k: int, order, counts: dict[int, list[int]]) -> CyclicMultiset:

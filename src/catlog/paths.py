@@ -139,12 +139,13 @@ def diagonal_touches(p: GoodPath) -> list[tuple[int, int]]:
     Height 0 is always present. The endpoint is never listed: around the
     bent-into-a-circle picture it is the same meeting point as the start.
     """
+    rise, labels = p.k - 1, p.labels  # read once, not per step
     out = []
     r = u = 0
     for ch in p.steps:
         if ch == "R":
-            if u == (p.k - 1) * r:
-                out.append((u, p.labels[r]))
+            if u == rise * r:
+                out.append((u, labels[r]))
             r += 1
         else:
             u += 1

@@ -19,12 +19,13 @@ def render_path(p: GoodPath) -> str:
             u += 1
         points.add((r, u))
     touch_heights = {h for h, _ in diagonal_touches(p)}
+    rise, n, labels = p.k - 1, p.n, p.labels  # read once, not per cell
     lines = []
-    for y in range((p.k - 1) * p.n, -1, -1):
+    for y in range(rise * n, -1, -1):
         row = []
-        for x in range(p.n + 1):
+        for x in range(n + 1):
             on_path = (x, y) in points
-            on_diag = y == (p.k - 1) * x
+            on_diag = y == rise * x
             if on_path and on_diag and y in touch_heights:
                 row.append("o")
             elif on_path:
@@ -34,8 +35,8 @@ def render_path(p: GoodPath) -> str:
             else:
                 row.append(".")
         text = "".join(row)
-        if y % (p.k - 1) == 0 and y // (p.k - 1) < p.n:
-            text += f"  y={y} [{p.labels[y // (p.k - 1)]}]"
+        if y % rise == 0 and y // rise < n:
+            text += f"  y={y} [{labels[y // rise]}]"
         lines.append(text)
     return "\n".join(lines)
 

@@ -129,10 +129,18 @@ class Series(Record):
     __rmul__ = __mul__
 
     def __pow__(self, a: int) -> "Series":
+        """self**a by square and multiply over a's bits, highest first:
+        floor(log2 a) squares and popcount(a) - 1 products by self, every
+        one a Series product (Knuth, TAOCP vol. 2, 4.6.3). s**0 is
+        Series.one and s**1 is s itself."""
         check_ints("only nonnegative integer powers are defined", (a, 0))
-        result = self if a else Series.one(self.order)  # then a - 1 products
-        for _ in range(a - 1):
-            result = result * self
+        if not a:
+            return Series.one(self.order)
+        result = self
+        for bit in bin(a)[3:]:  # the bits after the leading 1
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     # -- log and exp ---------------------------------------------------------

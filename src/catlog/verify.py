@@ -246,7 +246,7 @@ def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResu
     rightmost branches are walked once per structure, and a forest's parts
     again only if it fails its in-place check. A pass keeps
     counts, distributions and the first counterexample of each for-all
-    check in walk order. The multiset and plane-tree counts, and the
+    check in walk order. The path, multiset and plane-tree counts, and the
     range checks, hold by count only where every step went up in their
     walk's order; otherwise the structures or images are counted again
     by equality, so a repeated structure fails them. A repeated field is
@@ -267,7 +267,12 @@ def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResu
 
     n_paths = 0
     word_dist: Counter = Counter()
+    paths_rising, last = True, ()
     for p in paths._labeled_paths(k, labels, max_count, False):
+        # the walk is in (steps, labels) order: where every step goes up, no path came twice
+        key = (p.steps, p.labels)
+        paths_rising = paths_rising and key > last
+        last = key
         n_paths += 1
         touches = paths.diagonal_touches(p) if bijections or statistics else None
         if bijections:
@@ -276,6 +281,8 @@ def _point_checks(k: int, n: int, max_count, suites) -> dict[str, list[CheckResu
                 fail("path-field-roundtrip", p)
         if statistics:
             word_dist[len(touches)] += 1
+    if not paths_rising:  # a path may have come twice: count them by equality
+        n_paths = _distinct(paths._labeled_paths(k, labels, max_count, False))
 
     n_trees = n_min_trees = 0
     trees_rising, last = True, ()

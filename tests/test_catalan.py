@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from catlog.arith import binomial, factorial, harmonic
 from catlog.catalan import (
+    _stirling_column,
     coeff_log,
     coeff_log_power,
     coeff_table,
@@ -210,6 +211,38 @@ def composition_sum_dp(p: int, a: int) -> Fraction:
     return table[a][p]
 
 
+def coeff_log_power_per_p(k: int, n: int, a: int) -> Fraction:
+    """Oracle: the diagonal-return sum with a fresh returns_count, and its
+    binomial, for every p, over the common denominator n!."""
+    if n < a:
+        return Fraction(0)
+    stirling = _stirling_column(n, a)
+    total, falling = 0, 1  # falling = n!/p!
+    for p in range(n, a - 1, -1):
+        total += returns_count(k, n, p) * stirling[p] * falling
+        falling *= p
+    return Fraction(factorial(a) * total, factorial(n))
+
+
+def harmonic_per_term(m: int) -> Fraction:
+    """Oracle: H_m as a Fraction sum, one term 1/i at a time."""
+    total = Fraction(0)
+    for i in range(1, m + 1):
+        total += Fraction(1, i)
+    return total
+
+
+def knuth_general_log2_per_p(k: int, n: int) -> Fraction:
+    """Oracle: 2 * sum_p ((k-1)/(kn-p)) * C(kn-p, n-p) * H_{p-1}, one
+    Fraction term per p."""
+    total = Fraction(0)
+    h = Fraction(0)  # H_{p-1}, carried from one p to the next
+    for p in range(2, n + 1):
+        h += Fraction(1, p - 1)
+        total += Fraction(k - 1, k * n - p) * binomial(k * n - p, n - p) * h
+    return 2 * total
+
+
 def _product(qs) -> int:
     acc = 1
     for q in qs:
@@ -260,6 +293,12 @@ class TestCoeffLogPower:
                 for n in range(1, 11):
                     assert coeff_log_power(k, n, a) == powered[n], (k, n, a)
 
+    def test_against_per_p_forms(self):
+        for k in range(2, 7):
+            for n in range(1, 81):
+                for a in range(1, 6):
+                    assert coeff_log_power(k, n, a) == coeff_log_power_per_p(k, n, a), (k, n, a)
+
 
 class TestHarmonicForms:
     def test_valuation(self):
@@ -285,6 +324,13 @@ class TestHarmonicForms:
         lg2 = catalan_series(3, 6).log() ** 2
         for n in range(2, 7):
             assert knuth_general_log2(3, n) == lg2[n]
+
+    def test_against_per_p_forms(self):
+        for k in range(2, 7):
+            for n in range(2, 81):
+                assert knuth_general_log2(k, n) == knuth_general_log2_per_p(k, n), (k, n)
+        for m in range(160):
+            assert harmonic(m) == harmonic_per_term(m), m
 
 
 class TestStructureCounts:

@@ -87,7 +87,10 @@ class TestRingOperations:
         assert f**0 == Series.one(2)
         assert S(1, 1, 0, 0) ** 3 == S(1, 3, 3, 1)
 
-    def test_pow_makes_one_product_fewer_than_the_power(self, monkeypatch):
+    @pytest.mark.parametrize("a", range(10))
+    def test_pow_squares_and_multiplies(self, monkeypatch, a):
+        # floor(log2 a) squares and popcount(a) - 1 products by the base,
+        # where a - 1 products would take the power left to right
         g = catalan_series(2, 6)
         products = []
         product = Series.__mul__
@@ -97,8 +100,20 @@ class TestRingOperations:
             return product(self, other)
 
         monkeypatch.setattr(Series, "__mul__", counted)
-        assert g**3 == product(product(g, g), g) and len(products) == 2
-        assert g**1 == g and g**0 == Series.one(6) and len(products) == 2
+        powered = g**a
+        monkeypatch.undo()
+        assert len(products) == max(a.bit_length() - 1 + bin(a).count("1") - 1, 0)
+        if a == 1:
+            assert powered is g
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 9),
+           st.integers(0, 8).flatmap(lambda n: series_strategy(n, coeff=sparse_fractions)))
+    def test_pow_is_the_left_to_right_product(self, a, s):
+        left_to_right = Series.one(s.order)
+        for _ in range(a):
+            left_to_right = left_to_right * s
+        assert s**a == left_to_right
 
     def test_pow_of_log_catalan(self):
         sq = catalan_series(2, 3).log() ** 2

@@ -235,6 +235,18 @@ def _first_for_last(walk):
     return walked
 
 
+def _put_fault(monkeypatch, module, walk, fault):
+    """module.walk changed by `fault`. On paths._labeled_paths only the walk
+    of all labeled paths changes: the label-minimal walks, which the
+    ornaments and the field blocks read, stay whole."""
+    whole = getattr(module, walk)
+    faulty = fault(whole)
+    if walk == "_labeled_paths":
+        def faulty(k, labels, max_count, minimal, _all=faulty):
+            return (whole if minimal else _all)(k, labels, max_count, minimal)
+    monkeypatch.setattr(module, walk, faulty)
+
+
 @pytest.mark.parametrize("module, walk, check, also, at_2, at_3", [
     (trees, "_cycle_rooted", "cycle-tree-encoding-range", set(),
      "2 images vs 3 rooted", "19 images vs 20 rooted"),
@@ -244,17 +256,19 @@ def _first_for_last(walk):
     (multisets, "_multisets", "multiset-count",
      {"rooted-multiset-count", "ornament-encoding-range", "cycle-tree-encoding-range"},
      "3 vs 2", "20 vs 19"),
-], ids=["cycle-trees", "ornaments", "trees", "multisets"])
+    (paths, "_labeled_paths", "path-count",
+     {"path-field-bijective", "labeled-touch-distribution"}, "4 vs 3", "30 vs 29"),
+], ids=["cycle-trees", "ornaments", "trees", "multisets", "paths"])
 def test_a_walk_that_repeats_a_structure_fails_a_check(monkeypatch, module, walk, check,
                                                        also, at_2, at_3):
     """A walk that yields its first structure twice and its last never
     keeps every roundtrip. Each walk comes in a known order: a step that
-    does not go up makes the plane-tree and multiset counts, and the
+    does not go up makes the path, plane-tree and multiset counts, and the
     cycle-tree and ornament range checks, walk again and count the
     structures or images by equality. The field walk is not covered:
     `paths._fields` so changed passes every check."""
     verify._grid_structures.cache_clear()
-    monkeypatch.setattr(module, walk, _first_for_last(getattr(module, walk)))
+    _put_fault(monkeypatch, module, walk, _first_for_last)
     failed = {(r.name, r.n): r.message for r in run_suite("all", [2], 3).results if not r.passed}
     verify._grid_structures.cache_clear()
     assert {name for name, _ in failed} == {check} | also
@@ -271,19 +285,20 @@ def _stepping_back(walk):
     return walked
 
 
-@pytest.mark.parametrize("module, walk, check", [
-    (trees, "_cycle_rooted", "cycle-tree-encoding-range"),
-    (paths, "_ornaments", "ornament-encoding-range"),
-], ids=["cycle-trees", "ornaments"])
-def test_a_walk_that_steps_back_fails_its_range_check(monkeypatch, module, walk, check):
-    """A range check holds by count only where every step of the walk went
-    up: here as many steps go up as there are rooted multisets, but one
-    of them is missed, and the check counts the images again."""
-    monkeypatch.setattr(module, walk, _stepping_back(getattr(module, walk)))
+@pytest.mark.parametrize("module, walk, check, at_3", [
+    (trees, "_cycle_rooted", "cycle-tree-encoding-range", "19 images vs 20 rooted"),
+    (paths, "_ornaments", "ornament-encoding-range", "19 images vs 20 rooted"),
+    (paths, "_labeled_paths", "path-field-bijective", "29 paths, 29 images, 30 fields"),
+], ids=["cycle-trees", "ornaments", "paths"])
+def test_a_walk_that_steps_back_fails_its_range_check(monkeypatch, module, walk, check, at_3):
+    """A range check, or the path-field bijection, holds by count only where
+    every step of the walk went up: here as many steps go up as there are
+    structures, but one of them is missed, and the check counts them again."""
+    _put_fault(monkeypatch, module, walk, _stepping_back)
     failed = {(r.name, r.n): r.message
               for r in run_suite("bijections", [2], 3).results if not r.passed}
     assert {name for name, _ in failed} == {check}
-    assert failed[check, 3] == "19 images vs 20 rooted"
+    assert failed[check, 3] == at_3
 
 
 @pytest.mark.parametrize("module, walk, check, also, at_2, at_3", [
@@ -291,7 +306,9 @@ def test_a_walk_that_steps_back_fails_its_range_check(monkeypatch, module, walk,
     (multisets, "_multisets", "multiset-count",
      {"rooted-multiset-count", "ornament-encoding-range", "cycle-tree-encoding-range"},
      "3 vs 2", "20 vs 19"),
-], ids=["trees", "multisets"])
+    (paths, "_labeled_paths", "path-count",
+     {"path-field-bijective", "labeled-touch-distribution"}, "4 vs 3", "30 vs 29"),
+], ids=["trees", "multisets", "paths"])
 def test_a_walk_that_steps_back_fails_its_count(monkeypatch, module, walk, check,
                                                 also, at_2, at_3):
     """A count holds only where every step of its walk went up: here as
@@ -299,7 +316,7 @@ def test_a_walk_that_steps_back_fails_its_count(monkeypatch, module, walk, check
     and the count takes the distinct structures instead. At n = 1 the
     walk so changed is empty, so only n = 2 and 3 are read."""
     verify._grid_structures.cache_clear()
-    monkeypatch.setattr(module, walk, _stepping_back(getattr(module, walk)))
+    _put_fault(monkeypatch, module, walk, _stepping_back)
     failed = {(r.name, r.n): r.message
               for r in run_suite("all", [2], 3).results if not r.passed and r.n > 1}
     verify._grid_structures.cache_clear()
